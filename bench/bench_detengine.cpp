@@ -267,8 +267,9 @@ const char* status_name(atpg::ForwardStatus s) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
-  const bench::BenchOptions options =
-      bench::parse_options(argc, argv, &positional);
+  const bench::BenchOptions options = bench::parse_options(
+      argc, argv, &positional,
+      {"--max-faults=", "--backtracks=", "--solutions=", "--repeat="});
   std::size_t max_faults = 160;
   long backtracks = 300;
   unsigned max_solutions = 3;

@@ -122,8 +122,8 @@ struct CircuitResult {
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
-  const bench::BenchOptions options =
-      bench::parse_options(argc, argv, &positional);
+  const bench::BenchOptions options = bench::parse_options(
+      argc, argv, &positional, {"--backtracks=", "--cap="});
   long backtracks = 200;
   std::size_t cap = 160;
   std::vector<std::string> names;

@@ -65,8 +65,8 @@ struct Sample {
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
-  const bench::BenchOptions options =
-      bench::parse_options(argc, argv, &positional);
+  const bench::BenchOptions options = bench::parse_options(
+      argc, argv, &positional, {"--vectors=", "--repeat="});
   std::size_t vectors = 96;
   int repeat = 3;
   std::vector<std::string> names;

@@ -148,8 +148,8 @@ RunSample run_once(const netlist::Circuit& c, hybrid::HybridConfig cfg,
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
-  const bench::BenchOptions options =
-      bench::parse_options(argc, argv, &positional);
+  const bench::BenchOptions options = bench::parse_options(
+      argc, argv, &positional, {"--backtracks=", "--solutions="});
   long backtracks = 300;
   unsigned solutions = 4;
   std::vector<std::string> names;

@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,12 +10,46 @@
 
 namespace gatpg::bench {
 
+namespace {
+
+void print_usage(std::FILE* out, const char* program,
+                 std::initializer_list<const char*> bench_flags) {
+  std::fprintf(out,
+               "usage: %s [options] [circuit names...]\n"
+               "  --time-scale=X  --pass-budget=X  --full  --seed=N  "
+               "--threads=N  --json=FILE\n",
+               program);
+  if (bench_flags.size() != 0) {
+    std::fprintf(out, " ");
+    for (const char* flag : bench_flags) std::fprintf(out, " %sN", flag);
+    std::fprintf(out, "\n");
+  }
+}
+
+bool known_circuit(const std::string& name) {
+  const std::vector<std::string> names = gen::registry_names();
+  return gen::resolves_to_file(name) ||
+         std::find(names.begin(), names.end(), name) != names.end();
+}
+
+}  // namespace
+
 BenchOptions parse_options(int argc, char** argv,
-                           std::vector<std::string>* positional) {
+                           std::vector<std::string>* positional,
+                           std::initializer_list<const char*> bench_flags) {
   BenchOptions options;
+  const char* program = argc > 0 ? argv[0] : "bench";
+  const auto is_bench_flag = [&](const std::string& arg) {
+    return std::any_of(
+        bench_flags.begin(), bench_flags.end(),
+        [&](const char* flag) { return arg.rfind(flag, 0) == 0; });
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--time-scale=", 0) == 0) {
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, program, bench_flags);
+      std::exit(0);
+    } else if (arg.rfind("--time-scale=", 0) == 0) {
       options.time_scale = std::atof(arg.c_str() + 13);
     } else if (arg.rfind("--pass-budget=", 0) == 0) {
       options.pass_budget_s = std::atof(arg.c_str() + 14);
@@ -27,6 +62,15 @@ BenchOptions parse_options(int argc, char** argv,
           static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 10));
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
+    } else if (is_bench_flag(arg)) {
+      if (positional) positional->push_back(arg);
+    } else if (arg.rfind("-", 0) == 0) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", program, arg.c_str());
+      print_usage(stderr, program, bench_flags);
+      std::exit(2);
+    } else if (!known_circuit(arg)) {
+      std::fprintf(stderr, "%s: unknown circuit: %s\n", program, arg.c_str());
+      std::exit(1);
     } else if (positional) {
       positional->push_back(arg);
     }

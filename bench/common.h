@@ -12,6 +12,7 @@
 // where the hybrid wins — is the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,10 +41,15 @@ struct BenchOptions {
 };
 
 /// Parses --time-scale=X, --pass-budget=X, --full, --seed=N, --threads=N,
-/// --json=FILE; everything else is returned as a positional arg (circuit
-/// names for the table benches).
+/// --json=FILE.  Arguments starting with one of `bench_flags` (the bench's
+/// own "--name=" prefixes) and circuit names are returned as positional
+/// args, in order.  Bad input never reaches the bench: --help/-h prints
+/// usage and exits 0, any other unknown option exits 2, and a name that
+/// is neither a registry circuit nor a .bench file in the data directory
+/// exits 1, each with a message.
 BenchOptions parse_options(int argc, char** argv,
-                           std::vector<std::string>* positional = nullptr);
+                           std::vector<std::string>* positional = nullptr,
+                           std::initializer_list<const char*> bench_flags = {});
 
 /// Machine-readable bench output, collected through the session-layer
 /// ProgressObserver hook: one record per generator run with its per-pass

@@ -11,9 +11,13 @@
 // `ingest` loads every .bench file in the directory, round-trips it through
 // write_bench -> parse_bench (the canonical writer makes textual equality a
 // structural identity check), and runs a short fault-simulation sanity pass
-// over both fault universes, cross-checking the differential engine against
-// the full-sweep reference.  Exit status is nonzero if any file fails —
-// the CI ingestion smoke runs this over the exported registry circuits.
+// over both fault universes, cross-checking the session fault simulator
+// against the per-fault single-fault path (FaultSimulator::would_detect_from
+// from power-up).  Exit status is nonzero if any file fails — the CI
+// ingestion smoke runs this over the exported registry circuits.
+//
+// Bad input (a malformed .bench file, an unknown circuit name, a missing
+// directory) prints the error to stderr and exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -50,25 +54,28 @@ void ingest_one(const std::string& path) {
        {fault::FaultUniverse::kStuckAt, fault::FaultUniverse::kTransition}) {
     std::vector<fault::Fault> faults = fault::collapse(c, universe).faults;
     if (faults.size() > 256) faults.resize(256);  // keep big circuits quick
-    fault::FaultSimulator differential(c, faults);
-    differential.run(seq);
-    fault::FaultSimConfig sweep_cfg;
-    sweep_cfg.differential = false;
-    fault::FaultSimulator sweep(c, faults, sweep_cfg);
-    sweep.run(seq);
-    if (differential.detected() != sweep.detected()) {
-      throw std::runtime_error(std::string("fault-sim engines disagree (") +
-                               fault::universe_name(universe) + ")");
+    fault::FaultSimulator fsim(c, faults);
+    fsim.run(seq);
+    const sim::SequenceSimulator power_up(c);
+    const sim::State3 all_x(c.flip_flops().size(), sim::V3::kX);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (fault::FaultSimulator::would_detect_from(c, power_up, all_x,
+                                                   faults[i], seq) !=
+          static_cast<bool>(fsim.detected()[i])) {
+        throw std::runtime_error(
+            std::string("fault simulator disagrees with the single-fault "
+                        "check on ") +
+            fault::to_string(c, faults[i]) + " (" +
+            fault::universe_name(universe) + ")");
+      }
     }
     std::printf("  %-10s %4zu faults, %4zu detected by %zu random vectors\n",
                 fault::universe_name(universe), faults.size(),
-                differential.detected_count(), seq.size());
+                fsim.detected_count(), seq.size());
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace gatpg;
   const std::string mode = argc > 1 ? argv[1] : "list";
 
@@ -134,4 +141,15 @@ int main(int argc, char** argv) {
                "usage: bench_io_tool list | export <name> [file] | "
                "info <file> | ingest <dir>\n");
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_io_tool: %s\n", e.what());
+    return 1;
+  }
 }

@@ -9,33 +9,32 @@
 // when a primary output has a defined good value and the opposite defined
 // faulty value (X outputs never detect — the standard pessimistic rule).
 //
-// Two engines produce bit-identical results (tested against each other):
+// The engine is the PROOFS differential design.  The good machine is
+// simulated once per window of vectors, recording its settled node values
+// per frame; each fault group's machine is then seeded from the good values
+// every vector and only the fault-site and state differences are propagated
+// event-driven through their fanout cones.  Before simulating a group for a
+// vector, a screen checks which slots are excited at their fault site by the
+// good values or carry parked fault effects in their persisted state — a
+// group with no such slot skips the vector entirely (this is where late-ATPG
+// time goes, when only a handful of hard faults remain).  At every window
+// boundary the still-undetected faults are repacked into dense groups in
+// stable fault-index order.
 //
-//  * The *differential* engine (default) is the full PROOFS design.  The
-//    good machine is simulated once per window of vectors, recording its
-//    settled node values per frame; each fault group's machine is then
-//    seeded from the good values every vector and only the fault-site and
-//    state differences are propagated event-driven through their fanout
-//    cones.  Before simulating a group for a vector, a screen checks which
-//    slots are excited at their fault site by the good values or carry
-//    parked fault effects in their persisted state — a group with no such
-//    slot skips the vector entirely (this is where late-ATPG time goes,
-//    when only a handful of hard faults remain).  At every window boundary
-//    the still-undetected faults are repacked into dense 64-slot groups in
-//    stable fault-index order, so grouping, results, and detection order
-//    are deterministic and thread-count-independent.
-//
-//  * The *full-sweep* engine (FaultSimConfig::differential = false) is the
-//    retained reference path: each group resets to all-X and re-evaluates
-//    the whole circuit per sequence.  It exists to differentially test the
-//    differential engine and as the fallback baseline in benches.
+// Detection order is part of the contract: run() returns the newly detected
+// faults sorted by (pending position / 64, frame, pending position), where
+// the pending position is a fault's index among the faults still undetected
+// when run() was called.  The order, the detected sets, the persisted faulty
+// states, and the what-if counts are identical for every window, group
+// width, and thread count.  tests/helpers/reference_sim.h holds the
+// independent scalar oracle (reference_session / reference_what_if) the
+// engine is checked against.
 //
 // The 64-fault groups are independent, so run() and what_if() fan them out
-// across the shared worker pool (util::parallel), one thread-local
-// SequenceSimulator per lane.  Per-group detections are merged serially in
-// group order, so the returned lists and all member state are bit-identical
-// to the serial sweep for any thread count (threads = 1 is the exact legacy
-// code path).
+// across the shared worker pool (util::parallel), one thread-local machine
+// per lane.  Per-group detections are merged serially and sorted into the
+// documented order, so the returned lists and all member state are the same
+// for any thread count.
 #pragma once
 
 #include <memory>
@@ -53,23 +52,19 @@ namespace gatpg::fault {
 /// thread count ({4}) keeps meaning "4 threads".
 struct FaultSimConfig {
   util::ParallelConfig parallel;
-  /// true = PROOFS differential engine (good-machine seeding, excitation
-  /// screening, dynamic repacking); false = the retained full-sweep
-  /// reference engine.  Results are bit-identical either way.
-  bool differential = true;
   /// Vectors per differential window: the good machine is recorded and the
   /// group sweep advanced window by window, with detected faults repacked
   /// out of the dense 64-slot groups at every boundary.  Also bounds the
   /// good-frame recording memory (window × nodes × 16 bytes).
   unsigned window = 32;
   /// Group width in 64-bit machine words: each fault group packs 64·width
-  /// faults into one simulation machine.  1 (the default) is the legacy
-  /// SequenceSimulator path, retained verbatim as the golden reference;
-  /// 2..sim::kMaxWideWords route the sweeps through the SIMD-wide
-  /// WideSimulator with the structure-of-arrays layout.  Detections (sets
-  /// *and* order), persisted flip-flop state, and what-if results are
-  /// bit-identical at every width and thread count; only the cost counters
-  /// that depend on grouping (gate_evals, group_vectors, skips) differ.
+  /// faults into one simulation machine.  1 (the default) runs the groups
+  /// on the SequenceSimulator; 2..sim::kMaxWideWords run them on the
+  /// SIMD-wide WideSimulator with the structure-of-arrays layout.
+  /// Detections (sets *and* order), persisted flip-flop state, and what-if
+  /// results are bit-identical at every width and thread count; only the
+  /// cost counters that depend on grouping (gate_evals, group_vectors,
+  /// skips) differ.
   unsigned width = 1;
 };
 
@@ -204,9 +199,8 @@ class FaultSimulator {
 
  private:
   /// One detection event inside a sweep: `pos` indexes the sweep's fault
-  /// list, `t` is the global frame.  Sorting by (pos / 64, t, pos)
-  /// reproduces the full-sweep engine's exact detection order regardless of
-  /// windowing and repacking.
+  /// list, `t` is the global frame.  run() sorts them by (pos / 64, t, pos),
+  /// the documented detection order.
   struct Detection {
     std::uint32_t pos = 0;
     std::uint32_t t = 0;
@@ -244,19 +238,6 @@ class FaultSimulator {
                              std::vector<Detection>& detections,
                              std::vector<sim::State3>* good_sink) const;
 
-  std::vector<std::size_t> run_full_sweep(const sim::Sequence& seq);
-  WhatIf what_if_full_sweep(std::span<const std::size_t> fault_indices,
-                            const sim::Sequence& seq) const;
-  std::vector<std::size_t> run_full_sweep_wide(const sim::Sequence& seq);
-  WhatIf what_if_full_sweep_wide(std::span<const std::size_t> fault_indices,
-                                 const sim::Sequence& seq) const;
-
-  /// The input sequence broadcast into packed form once per call (shared
-  /// read-only by every fault group of the full-sweep engine).
-  std::vector<std::vector<sim::PackedV3>> pack_sequence(
-      const sim::Sequence& seq) const;
-
-  sim::SequenceSimulator& lane_machine(unsigned lane) const;
   void ensure_lanes(unsigned lanes) const;
   /// Serially folds the per-lane counters and machine eval counts into
   /// stats_ after a parallel sweep (sums are schedule-independent).

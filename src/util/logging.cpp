@@ -1,11 +1,12 @@
 #include "util/logging.h"
 
+#include <atomic>
 #include <cstdio>
 
 namespace gatpg::util {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -24,12 +25,15 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log_line(LogLevel level, const std::string& message) {
-  if (level < g_level || g_level == LogLevel::kOff) return;
+  const LogLevel threshold = g_level.load(std::memory_order_relaxed);
+  if (level < threshold || threshold == LogLevel::kOff) return;
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include "fault/faultsim.h"
 #include "gen/registry.h"
 #include "gen/s27.h"
+#include "helpers/faultsim_oracle.h"
 #include "helpers/random_circuit.h"
 #include "helpers/reference_sim.h"
 #include "netlist/builder.h"
@@ -243,11 +244,10 @@ INSTANTIATE_TEST_SUITE_P(RandomCircuits, TransitionCollapseEquivalence,
                          ::testing::Range<std::uint64_t>(1, 7));
 
 // ---------------------------------------------------------------------------
-// The transition fault simulator vs the naive reference, across engines,
-// widths, and thread counts, with persistent state over multiple run()s.
+// The transition fault simulator vs the naive reference, across widths and
+// thread counts, with persistent state over multiple run()s.
 
 struct SimShape {
-  bool differential;
   unsigned width;
   unsigned threads;
 };
@@ -263,33 +263,31 @@ TEST_P(TransitionSimEquivalence, MatchesTwoFrameReference) {
   const auto c = test::make_random_circuit(spec);
   const auto faults = collapse(c, FaultUniverse::kTransition).faults;
   util::Rng rng(GetParam() * 23);
-  const auto seq1 = test::random_sequence(c, rng, 7, 0.1);
-  const auto seq2 = test::random_sequence(c, rng, 7, 0.1);
-  sim::Sequence all(seq1);
-  all.insert(all.end(), seq2.begin(), seq2.end());
+  const std::vector<sim::Sequence> chunks = {
+      test::random_sequence(c, rng, 7, 0.1),
+      test::random_sequence(c, rng, 7, 0.1)};
+  sim::Sequence all(chunks[0]);
+  all.insert(all.end(), chunks[1].begin(), chunks[1].end());
 
-  std::vector<bool> expected(faults.size());
+  // The chunked reference session agrees with single-fault reference
+  // detection over the concatenated sequence.
+  const std::vector<test::ReferenceChunk> expected =
+      test::reference_session(c, faults, chunks);
+  std::vector<bool> session_detected(faults.size(), false);
+  for (const test::ReferenceChunk& chunk : expected) {
+    for (const std::size_t i : chunk.detected) session_detected[i] = true;
+  }
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    expected[i] = test::reference_detects(c, faults[i], all);
+    EXPECT_EQ(session_detected[i], test::reference_detects(c, faults[i], all))
+        << to_string(c, faults[i]) << " seed " << GetParam();
   }
 
-  const SimShape shapes[] = {
-      {true, 1, 1}, {true, 2, 1}, {true, 1, 4}, {false, 1, 1}, {false, 4, 1}};
+  const SimShape shapes[] = {{1, 1}, {2, 1}, {1, 4}, {4, 1}, {8, 4}};
   for (const SimShape& shape : shapes) {
-    SCOPED_TRACE(std::string(shape.differential ? "diff" : "sweep") +
-                 " width " + std::to_string(shape.width) + " threads " +
-                 std::to_string(shape.threads));
     FaultSimConfig cfg;
-    cfg.differential = shape.differential;
     cfg.width = shape.width;
     cfg.parallel.threads = shape.threads;
-    FaultSimulator fs(c, faults, cfg);
-    fs.run(seq1);
-    fs.run(seq2);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(fs.detected()[i]), expected[i])
-          << to_string(c, faults[i]) << " seed " << GetParam();
-    }
+    test::expect_session_matches(c, faults, chunks, expected, cfg);
   }
 }
 
@@ -314,9 +312,7 @@ TEST(TransitionSim, LaunchPrevTracksGoodMachine) {
   sim::V3 last = sim::V3::kX;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = faults[i];
-    const netlist::NodeId launch_line =
-        f.pin == kOutputPin ? f.node
-                            : c.fanins(f.node)[static_cast<std::size_t>(f.pin)];
+    const netlist::NodeId launch_line = test::reference_launch_line(c, f);
     test::ReferenceSimulator ref(c);
     for (const auto& v : seq) {
       ref.apply(v);

@@ -20,6 +20,20 @@ HybridConfig fast_config(std::uint64_t seed = 1) {
   return cfg;
 }
 
+/// The Table I schedule with every wall-clock limit removed and the
+/// backtrack budget escalating 10x per pass from `backtracks`: the run is a
+/// pure function of its inputs and bounded by work, not time.
+PassSchedule work_bounded_ga_hitec(long backtracks) {
+  PassSchedule s = PassSchedule::ga_hitec();
+  for (auto& pass : s.passes) {
+    pass.time_limit_s = 0.0;
+    pass.pass_budget_s = 0.0;
+    pass.max_backtracks = backtracks;
+    backtracks *= 10;
+  }
+  return s;
+}
+
 TEST(PassSchedule, MatchesTableOne) {
   const PassSchedule s = PassSchedule::ga_hitec(1.0);
   ASSERT_EQ(s.passes.size(), 3u);
@@ -149,7 +163,7 @@ TEST(HybridAtpg, HitecModeAlsoCoversS27) {
 TEST(HybridAtpg, GaModeActuallyUsesGa) {
   const auto c = gen::make_circuit("g298");
   HybridConfig cfg = fast_config();
-  cfg.schedule = PassSchedule::ga_hitec(0.01);
+  cfg.schedule = work_bounded_ga_hitec(3);
   const AtpgResult result = HybridAtpg(c, cfg).run();
   EXPECT_GT(result.counters.ga_invocations, 0);
 }
@@ -157,7 +171,7 @@ TEST(HybridAtpg, GaModeActuallyUsesGa) {
 TEST(HybridAtpg, PrefilterOnlyRemovesUntestables) {
   const auto c = gen::make_circuit("g386");
   HybridConfig plain = fast_config(3);
-  plain.schedule = PassSchedule::ga_hitec(0.01);
+  plain.schedule = work_bounded_ga_hitec(3);
   HybridConfig filtered = plain;
   filtered.prefilter_untestable = true;
   const AtpgResult a = HybridAtpg(c, plain).run();

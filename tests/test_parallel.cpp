@@ -3,13 +3,18 @@
 // load-bearing determinism contract — fault simulation, what_if grading,
 // GA state justification, and the full hybrid ATPG must produce
 // bit-identical results at threads=1 (the serial legacy path) and
-// threads=4 (forced parallel, regardless of core count).
+// threads=4 (forced parallel, regardless of core count) — plus concurrent
+// logging from worker threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/faultlist.h"
@@ -19,6 +24,7 @@
 #include "helpers/random_circuit.h"
 #include "hybrid/ga_justify.h"
 #include "hybrid/hybrid_atpg.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace gatpg::util {
@@ -284,3 +290,58 @@ TEST(ParallelHybridAtpg, TestSetBitIdenticalAcrossThreadCounts) {
 
 }  // namespace
 }  // namespace gatpg::hybrid
+
+namespace gatpg::util {
+namespace {
+
+// The sharded service logs from its worker lanes, so log_line and
+// set_log_level must be race-free (the TSan job runs this suite) and every
+// line must come out whole.
+TEST(ParallelLogging, ConcurrentLinesStayWhole) {
+  constexpr int kThreads = 4;
+  constexpr int kLines = 200;
+  const LogLevel saved = log_level();
+  const auto log_from_workers = [&](int phase) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([phase, t] {
+        for (int i = 0; i < kLines; ++i) {
+          log_warn() << "phase " << phase << " worker " << t << " line " << i
+                     << ' ' << std::string(64, 'x');
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  };
+
+  testing::internal::CaptureStderr();
+  set_log_level(LogLevel::kWarn);
+  log_from_workers(1);
+  // Phase 2: the threshold flips while the workers log, so some lines are
+  // dropped — but none may be torn.
+  std::atomic<bool> stop{false};
+  std::thread flipper([&] {
+    while (!stop.load()) {
+      set_log_level(LogLevel::kError);
+      set_log_level(LogLevel::kWarn);
+    }
+  });
+  log_from_workers(2);
+  stop.store(true);
+  flipper.join();
+  set_log_level(saved);
+  const std::string out = testing::internal::GetCapturedStderr();
+
+  const std::regex whole(R"(\[warn\] phase [12] worker [0-3] line \d+ x{64})");
+  std::istringstream in(out);
+  std::string line;
+  int phase1 = 0;
+  while (std::getline(in, line)) {
+    ASSERT_TRUE(std::regex_match(line, whole)) << "torn line: " << line;
+    if (line.rfind("[warn] phase 1 ", 0) == 0) ++phase1;
+  }
+  EXPECT_EQ(phase1, kThreads * kLines);
+}
+
+}  // namespace
+}  // namespace gatpg::util

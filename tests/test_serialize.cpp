@@ -487,10 +487,10 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
                                 rng);
     EXPECT_THROW(s.resume(snap, engine), serialize::SnapshotError);
   }
-  // Wrong fault-sim engine shape.
+  // Wrong fault-sim group width (the snapshot was taken at width 1).
   {
     hybrid::HybridConfig shape = cfg;
-    shape.faultsim.differential = !shape.faultsim.differential;
+    shape.faultsim.width = 2;
     session::Session s(s27, faults, session_config(shape));
     util::Rng rng(cfg.seed);
     hybrid::HybridEngine engine(s27, shape, netlist::sequential_depth(s27),

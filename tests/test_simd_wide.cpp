@@ -8,10 +8,11 @@
 //  * WideSimulator against SequenceSimulator, slot for slot, including
 //    overrides, event-driven re-application, and clocking,
 //  * FaultSimulator at widths {2, 4, 8} x threads {1, 4} against the
-//    width-1 engines: detection sets *and order*, persisted faulty state,
-//    good state, what_if results, and the grouping-invariant stats — over
-//    randomized circuits, every registry circuit, and fault counts that are
-//    not multiples of 64 (partial slot masks),
+//    width-1 path and the independent reference session model
+//    (tests/helpers/reference_sim.h): detection sets *and order*, persisted
+//    faulty state, good state, what_if results, and the grouping-invariant
+//    stats — over randomized circuits, every registry circuit, and fault
+//    counts that are not multiples of 64 (partial slot masks),
 //  * the GA state justifier at every width: same success flag, same
 //    returned sequence, same fitness and evaluation counts.
 #include <gtest/gtest.h>
@@ -19,13 +20,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
 #include "gen/registry.h"
+#include "helpers/faultsim_oracle.h"
 #include "helpers/random_circuit.h"
+#include "helpers/reference_sim.h"
 #include "hybrid/ga_justify.h"
 #include "sim/seqsim.h"
 #include "sim/wide.h"
@@ -223,13 +227,12 @@ TEST(SimdWideSim, MatchesSequenceSimulatorSlotForSlot) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultSimulator: wide engines vs the width-1 golden reference.
+// FaultSimulator: wide groups vs width 1 and vs the reference session model.
 
-FaultSimConfig make_config(bool differential, unsigned threads,
-                           unsigned width, unsigned window = 32) {
+FaultSimConfig make_config(unsigned threads, unsigned width,
+                           unsigned window = 32) {
   FaultSimConfig config;
   config.parallel.threads = threads;
-  config.differential = differential;
   config.window = window;
   config.width = width;
   return config;
@@ -283,8 +286,8 @@ TEST(SimdWideFaultSim, DifferentialMatchesWidth1) {
     const auto faults = fault::collapse(c).faults;
     for (const unsigned width : {2u, 4u, 8u}) {
       expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                            make_config(true, 1, width),
-                            make_config(true, 1, 1));
+                            make_config(1, width),
+                            make_config(1, 1));
     }
   }
 }
@@ -296,32 +299,39 @@ TEST(SimdWideFaultSim, DifferentialWideThreadedMatchesWidth1Serial) {
     const auto faults = fault::collapse(c).faults;
     for (const unsigned width : {2u, 4u, 8u}) {
       expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                            make_config(true, 4, width),
-                            make_config(true, 1, 1));
+                            make_config(4, width),
+                            make_config(1, 1));
     }
   }
 }
 
-TEST(SimdWideFaultSim, FullSweepWideMatchesWidth1) {
+TEST(SimdWideFaultSim, WideMatchesReferenceSession) {
+  // Every width, serial and threaded, against the independent reference
+  // session model: detection order, persisted states, and good state per
+  // chunk.
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
     const auto faults = fault::collapse(c).faults;
-    for (const unsigned width : {2u, 8u}) {
-      expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                            make_config(false, 4, width),
-                            make_config(false, 1, 1));
+    std::vector<FaultSimConfig> configs;
+    for (const unsigned width : {2u, 4u, 8u}) {
+      for (const unsigned threads : {1u, 4u}) {
+        configs.push_back(make_config(threads, width));
+      }
     }
+    test::expect_sessions_match_reference(
+        c, faults, session_chunks(c, spec.seed), configs);
   }
 }
 
 TEST(SimdWideFaultSim, CrossEngineWideDifferentialVsFullSweep) {
-  // The two wide engines against each other, no width-1 machinery involved.
+  // The wide engine against the scalar full-sweep reference model alone, no
+  // width-1 machinery involved.
   const test::RandomCircuitSpec spec{6, 5, 90, 4, 55};
   const auto c = test::make_random_circuit(spec);
   const auto faults = fault::collapse(c).faults;
-  expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                        make_config(true, 2, 4),
-                        make_config(false, 2, 4));
+  test::expect_sessions_match_reference(c, faults,
+                                        session_chunks(c, spec.seed),
+                                        {make_config(2, 4)});
 }
 
 TEST(SimdWideFaultSim, PartialSlotMasks) {
@@ -338,12 +348,11 @@ TEST(SimdWideFaultSim, PartialSlotMasks) {
     const std::vector<fault::Fault> subset(all.begin(), all.begin() + count);
     for (const unsigned width : {2u, 8u}) {
       expect_sessions_match(c, subset, session_chunks(c, spec.seed + count),
-                            make_config(true, 2, width),
-                            make_config(true, 1, 1));
-      expect_sessions_match(c, subset, session_chunks(c, spec.seed + count),
-                            make_config(false, 1, width),
-                            make_config(false, 1, 1));
+                            make_config(2, width), make_config(1, 1));
     }
+    test::expect_sessions_match_reference(
+        c, subset, session_chunks(c, spec.seed + count),
+        {make_config(1, 2), make_config(2, 8)});
   }
 }
 
@@ -353,8 +362,8 @@ TEST(SimdWideFaultSim, WindowIndependentAtWidth) {
   const auto faults = fault::collapse(c).faults;
   for (const unsigned window : {1u, 2u, 7u, 64u}) {
     expect_sessions_match(c, faults, session_chunks(c, 99),
-                          make_config(true, 2, 4, window),
-                          make_config(true, 1, 1));
+                          make_config(2, 4, window),
+                          make_config(1, 1));
   }
 }
 
@@ -362,8 +371,8 @@ TEST(SimdWideFaultSim, WhatIfMatchesWidth1AndKeepsSessionIntact) {
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
     const auto faults = fault::collapse(c).faults;
-    FaultSimulator wide(c, faults, make_config(true, 4, 4));
-    FaultSimulator narrow(c, faults, make_config(true, 1, 1));
+    FaultSimulator wide(c, faults, make_config(4, 4));
+    FaultSimulator narrow(c, faults, make_config(1, 1));
 
     util::Rng rng(spec.seed + 5);
     const auto warmup = test::random_sequence(c, rng, 13, 0.1);
@@ -386,14 +395,18 @@ TEST(SimdWideFaultSim, WhatIfMatchesWidth1AndKeepsSessionIntact) {
     EXPECT_EQ(sa.detected, sb.detected);
     EXPECT_EQ(sa.state_effects, sb.state_effects);
 
-    // The wide full-sweep what_if path as well.
-    FaultSimulator wide_fs(c, faults, make_config(false, 2, 8));
-    FaultSimulator narrow_fs(c, faults, make_config(false, 1, 1));
-    ASSERT_EQ(wide_fs.run(warmup), narrow_fs.run(warmup));
-    const auto fa = wide_fs.what_if(subset, probe);
-    const auto fb = narrow_fs.what_if(subset, probe);
-    EXPECT_EQ(fa.detected, fb.detected);
-    EXPECT_EQ(fa.state_effects, fb.state_effects);
+    // Width 8 against the reference model's what-if counts.
+    FaultSimulator wide8(c, faults, make_config(2, 8));
+    wide8.run(warmup);
+    for (const std::span<const std::size_t> query :
+         {std::span<const std::size_t>(all),
+          std::span<const std::size_t>(subset)}) {
+      const auto fa = wide8.what_if(query, probe);
+      const auto fb =
+          test::reference_what_if(c, faults, {warmup}, query, probe);
+      EXPECT_EQ(fa.detected, fb.detected);
+      EXPECT_EQ(fa.state_effects, fb.state_effects);
+    }
 
     // what_if must not have touched the sessions.
     const auto more = test::random_sequence(c, rng, 11, 0.0);
@@ -413,7 +426,7 @@ TEST(SimdWideFaultSim, StatsThreadInvariantAtFixedWidth) {
   const auto faults = fault::collapse(c).faults;
 
   auto run_session = [&](unsigned threads, unsigned width) {
-    FaultSimulator fs(c, faults, make_config(true, threads, width, 8));
+    FaultSimulator fs(c, faults, make_config(threads, width, 8));
     for (const auto& chunk : session_chunks(c, 42)) fs.run(chunk);
     return fs.stats();
   };
@@ -433,9 +446,9 @@ TEST(SimdWideFaultSim, StatsThreadInvariantAtFixedWidth) {
 }
 
 TEST(SimdWideFaultSim, EveryRegistryCircuit) {
-  // One bounded differential session per registry circuit: a sampled fault
-  // subset (deliberately not a multiple of 64) over a short mixed-X
-  // sequence, wide-threaded vs the width-1 serial reference.
+  // One bounded session per registry circuit: a sampled fault subset
+  // (deliberately not a multiple of 64) over a short mixed-X sequence,
+  // wide-threaded vs width-1 serial and vs the reference session model.
   for (const std::string& name : gen::registry_names()) {
     const auto c = gen::make_circuit(name);
     const auto all = fault::collapse(c).faults;
@@ -451,8 +464,10 @@ TEST(SimdWideFaultSim, EveryRegistryCircuit) {
     const std::vector<sim::Sequence> chunks = {
         test::random_sequence(c, rng, 8, 0.0),
         test::random_sequence(c, rng, 6, 0.2)};
-    expect_sessions_match(c, faults, chunks, make_config(true, 4, 4),
-                          make_config(true, 1, 1));
+    expect_sessions_match(c, faults, chunks, make_config(4, 4),
+                          make_config(1, 1));
+    test::expect_sessions_match_reference(c, faults, chunks,
+                                          {make_config(4, 4)});
   }
 }
 
