@@ -277,13 +277,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const std::string& arg : positional) {
     if (arg.rfind("--max-faults=", 0) == 0) {
-      max_faults = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      max_faults = bench::flag_value<std::size_t>(arg, "--max-faults=");
     } else if (arg.rfind("--backtracks=", 0) == 0) {
-      backtracks = std::atol(arg.c_str() + 13);
+      backtracks = bench::flag_value<long>(arg, "--backtracks=");
     } else if (arg.rfind("--solutions=", 0) == 0) {
-      max_solutions = static_cast<unsigned>(std::atoi(arg.c_str() + 12));
+      max_solutions = bench::flag_value<unsigned>(arg, "--solutions=");
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::atoi(arg.c_str() + 9);
+      repeat = bench::flag_value<int>(arg, "--repeat=");
     } else {
       names.push_back(arg);
     }

@@ -129,9 +129,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const std::string& arg : positional) {
     if (arg.rfind("--backtracks=", 0) == 0) {
-      backtracks = std::atol(arg.c_str() + 13);
+      backtracks = bench::flag_value<long>(arg, "--backtracks=");
     } else if (arg.rfind("--cap=", 0) == 0) {
-      cap = std::strtoull(arg.c_str() + 6, nullptr, 10);
+      cap = bench::flag_value<std::size_t>(arg, "--cap=");
     } else {
       names.push_back(arg);
     }

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const std::string& arg : positional) {
     if (arg.rfind("--vectors=", 0) == 0) {
-      vectors = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      vectors = bench::flag_value<std::size_t>(arg, "--vectors=");
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::atoi(arg.c_str() + 9);
+      repeat = bench::flag_value<int>(arg, "--repeat=");
     } else {
       names.push_back(arg);
     }

@@ -155,9 +155,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const std::string& arg : positional) {
     if (arg.rfind("--backtracks=", 0) == 0) {
-      backtracks = std::atol(arg.c_str() + 13);
+      backtracks = bench::flag_value<long>(arg, "--backtracks=");
     } else if (arg.rfind("--solutions=", 0) == 0) {
-      solutions = static_cast<unsigned>(std::atoi(arg.c_str() + 12));
+      solutions = bench::flag_value<unsigned>(arg, "--solutions=");
     } else {
       names.push_back(arg);
     }

@@ -12,6 +12,9 @@ namespace gatpg::bench {
 
 namespace {
 
+// argv[0] of the running bench, for messages raised after parse_options.
+std::string g_program = "bench";
+
 void print_usage(std::FILE* out, const char* program,
                  std::initializer_list<const char*> bench_flags) {
   std::fprintf(out,
@@ -34,11 +37,21 @@ bool known_circuit(const std::string& name) {
 
 }  // namespace
 
+void bad_flag_value(const std::string& arg, std::string_view prefix) {
+  std::fprintf(stderr,
+               "%s: invalid value '%s' for %.*s (expected a non-negative "
+               "number)\n",
+               g_program.c_str(), arg.c_str() + prefix.size(),
+               static_cast<int>(prefix.size() - 1), prefix.data());
+  std::exit(2);
+}
+
 BenchOptions parse_options(int argc, char** argv,
                            std::vector<std::string>* positional,
                            std::initializer_list<const char*> bench_flags) {
   BenchOptions options;
-  const char* program = argc > 0 ? argv[0] : "bench";
+  if (argc > 0) g_program = argv[0];
+  const char* program = g_program.c_str();
   const auto is_bench_flag = [&](const std::string& arg) {
     return std::any_of(
         bench_flags.begin(), bench_flags.end(),
@@ -50,16 +63,15 @@ BenchOptions parse_options(int argc, char** argv,
       print_usage(stdout, program, bench_flags);
       std::exit(0);
     } else if (arg.rfind("--time-scale=", 0) == 0) {
-      options.time_scale = std::atof(arg.c_str() + 13);
+      options.time_scale = flag_value<double>(arg, "--time-scale=");
     } else if (arg.rfind("--pass-budget=", 0) == 0) {
-      options.pass_budget_s = std::atof(arg.c_str() + 14);
+      options.pass_budget_s = flag_value<double>(arg, "--pass-budget=");
     } else if (arg == "--full") {
       options.full = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      options.seed = flag_value<std::uint64_t>(arg, "--seed=");
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 10));
+      options.threads = flag_value<unsigned>(arg, "--threads=");
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
     } else if (is_bench_flag(arg)) {

@@ -12,9 +12,14 @@
 // where the hybrid wins — is the reproduction target (see EXPERIMENTS.md).
 #pragma once
 
+#include <cassert>
+#include <charconv>
+#include <cmath>
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "fault/grading.h"
@@ -50,6 +55,32 @@ struct BenchOptions {
 BenchOptions parse_options(int argc, char** argv,
                            std::vector<std::string>* positional = nullptr,
                            std::initializer_list<const char*> bench_flags = {});
+
+/// Prints "invalid value" for a numeric flag and exits 2.
+[[noreturn]] void bad_flag_value(const std::string& arg,
+                                 std::string_view prefix);
+
+/// The value of a numeric flag: `arg` with its "--name=" `prefix` stripped,
+/// parsed as a non-negative T (an integer type or double).  Empty input,
+/// trailing junk, a sign on an unsigned type, a negative or non-finite
+/// value, or a value T cannot hold exits 2 with a message — a bench never
+/// runs on a misread number.
+template <typename T>
+T flag_value(const std::string& arg, std::string_view prefix) {
+  assert(std::string_view(arg).substr(0, prefix.size()) == prefix);
+  const char* first = arg.data() + prefix.size();
+  const char* last = arg.data() + arg.size();
+  T value{};
+  const auto [end, ec] = std::from_chars(first, last, value);
+  bool ok = first != last && ec == std::errc() && end == last;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && value >= 0;
+  } else if constexpr (std::is_signed_v<T>) {
+    ok = ok && value >= 0;
+  }
+  if (!ok) bad_flag_value(arg, prefix);
+  return value;
+}
 
 /// Machine-readable bench output, collected through the session-layer
 /// ProgressObserver hook: one record per generator run with its per-pass

@@ -117,6 +117,7 @@ void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
   max_frames_ = max_frames;
   config_ = config;
   frame_count_ = 1;
+  lift_restriction();
   stats_ = {};
   trail_.clear();
   const auto& c = circuit_;
@@ -505,8 +506,44 @@ void FrameModel::enqueue(unsigned frame, NodeId n) {
   if (key < queue_cursor_) queue_cursor_ = key;
 }
 
+void FrameModel::restrict_to_fanin_cone(std::span<const NodeId> roots) {
+  assert(!fault_ && max_frames_ == 1);
+  if (!config_.incremental) return;  // the oblivious reference ignores it
+  const auto& c = circuit_;
+  if (live_.size() != c.node_count()) {
+    if (live_.capacity() < c.node_count()) ++buffer_grows_;
+    live_.assign(c.node_count(), 0);
+  }
+  lift_restriction();
+  for (NodeId r : roots) {
+    if (!live_[r]) {
+      live_[r] = 1;
+      cone_.push_back(r);
+    }
+  }
+  // cone_ doubles as the breadth-first worklist.
+  for (std::size_t i = 0; i < cone_.size(); ++i) {
+    const NodeId n = cone_[i];
+    if (c.type(n) == GateType::kDff) continue;  // frame-0 state: a leaf
+    for (NodeId in : c.fanins(n)) {
+      if (!live_[in]) {
+        live_[in] = 1;
+        cone_.push_back(in);
+      }
+    }
+  }
+  restricted_ = true;
+}
+
+void FrameModel::lift_restriction() {
+  for (NodeId n : cone_) live_[n] = 0;
+  cone_.clear();
+  restricted_ = false;
+}
+
 void FrameModel::schedule_fanouts(unsigned frame, NodeId n) {
   for (NodeId out : circuit_.fanouts(n)) {
+    if (restricted_ && !live_[out]) continue;  // invisible to the roots
     if (circuit_.type(out) == GateType::kDff) {
       // The change crosses the flip-flop into the next frame (if active);
       // inactive frames are rebuilt wholesale on activation.

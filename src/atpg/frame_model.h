@@ -51,14 +51,27 @@
 // * Legacy (.flat = false, the retained reference): the original nested
 //   vector<vector<V3>> plane-per-frame layout.
 //
-// tests/test_frame_model_incr.cpp differential-tests the engines and the
-// layouts on randomized operation sequences over every registry circuit.
+// Cone restriction (restrict_to_fanin_cone): an incremental, fault-free,
+// single-frame model — the shape of one reverse-time justification frame —
+// can confine event propagation to the transitive fanin cone of a set of
+// root nodes (the goals' flip-flop D inputs).  Fanouts outside the cone are
+// never scheduled, so implication work scales with what the goals can see
+// instead of with the whole frame.  While a model is restricted, good
+// values inside the cone are exact and values outside it are unspecified
+// (stale); only read the cone.  reset() lifts the restriction, so pooled
+// models always come back unrestricted.  The oblivious engine ignores the
+// call: it stays the unrestricted reference.
+//
+// tests/test_frame_model_incr.cpp differential-tests the engines, the
+// layouts, and restricted against unrestricted models on randomized
+// operation sequences.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "atpg/val5.h"
@@ -217,6 +230,18 @@ class FrameModel {
   /// Incremental mode: no-op (values are maintained eagerly); safe to call.
   void simulate();
 
+  // -- Cone restriction (see the header comment) ----------------------------
+  /// Restricts event propagation to the transitive fanin cone of `roots`
+  /// (frame-0 flip-flops are cone leaves: their fanin belongs to an earlier
+  /// frame).  Only legal on fault-free single-frame models; a no-op on
+  /// oblivious models.  Replaces any previous restriction; the current
+  /// values must be consistent (as after construction, reset() or any
+  /// unrestricted operation).  Values outside the cone become unspecified.
+  void restrict_to_fanin_cone(std::span<const netlist::NodeId> roots);
+  bool restricted() const { return restricted_; }
+  /// True when `n` is kept exact (every node of an unrestricted model).
+  bool in_cone(netlist::NodeId n) const { return !restricted_ || live_[n]; }
+
   // -- Fault-effect queries --------------------------------------------------
   /// True if some primary output in some active frame carries D/D̄.
   bool po_has_d() const;
@@ -267,6 +292,8 @@ class FrameModel {
   void init_incremental();
   void enqueue(unsigned frame, netlist::NodeId n);
   void schedule_fanouts(unsigned frame, netlist::NodeId n);
+  /// Clears the cone restriction (only the bits the cone set).
+  void lift_restriction();
   void propagate();
   /// Re-evaluates both planes of (frame, node); trails and applies changes,
   /// maintains summaries, and (when `schedule`) enqueues fanouts on change.
@@ -336,6 +363,13 @@ class FrameModel {
 
   // Change trail (incremental mode).
   std::vector<TrailEntry> trail_;
+
+  // Cone restriction: live_[n] marks the restricted cone (node-count sized,
+  // all zero while unrestricted); cone_ lists its nodes so lifting the
+  // restriction clears only what was set.  Capacity survives reset().
+  bool restricted_ = false;
+  std::vector<char> live_;
+  std::vector<netlist::NodeId> cone_;
 
   // Event queue: a bump-allocated CSR bucket arena keyed by
   // frame * (max_level + 1) + level.  Each frame's buckets partition one

@@ -10,12 +10,16 @@ using sim::V3;
 FrameGoalSearch::FrameGoalSearch(const netlist::Circuit& c,
                                  std::vector<Objective> goals,
                                  FrameModelConfig config, FrameModelPool* pool)
-    : pool_(pool),
-      model_h_(pool ? pool->acquire(std::nullopt, 1, config)
+    : model_h_(pool ? pool->acquire(std::nullopt, 1, config)
                     : FrameModelPool::standalone(c, std::nullopt, 1, config)),
       model_(*model_h_),
       stack_(model_),
-      goals_(std::move(goals)) {}
+      goals_(std::move(goals)) {
+  std::vector<netlist::NodeId> roots;
+  roots.reserve(goals_.size());
+  for (const Objective& g : goals_) roots.push_back(g.node);
+  model_.restrict_to_fanin_cone(roots);
+}
 
 bool FrameGoalSearch::conflict() const {
   return std::any_of(goals_.begin(), goals_.end(), [&](const Objective& g) {
@@ -41,12 +45,8 @@ bool FrameGoalSearch::pick_objective(Objective& obj) const {
 }
 
 void FrameGoalSearch::flush_stats(SearchStats& stats) {
-  std::uint64_t gate_evals = model_.stats().gate_evals + retired_gate_evals_;
-  std::uint64_t events = model_.stats().events + retired_events_;
-  if (scratch_) {
-    gate_evals += scratch_->stats().gate_evals;
-    events += scratch_->stats().events;
-  }
+  const std::uint64_t gate_evals = model_.stats().gate_evals;
+  const std::uint64_t events = model_.stats().events;
   stats.gate_evals += static_cast<long>(gate_evals - synced_gate_evals_);
   stats.events += static_cast<long>(events - synced_events_);
   synced_gate_evals_ = gate_evals;
@@ -97,86 +97,37 @@ FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
   }
 }
 
-sim::State3 FrameGoalSearch::minimized_state() const {
-  const auto& c = model_.circuit();
-  // Rebuild the solution on a scratch model, then greedily clear state
-  // assignments whose removal keeps every goal satisfied.
-  if (!model_.incremental()) {
-    const FrameModelConfig sc_config{/*incremental=*/false, model_.flat()};
-    if (scratch_) {
-      // Reuse the scratch model across minimization calls: fold its effort
-      // into the retired tally (reset() is about to zero it) and reset
-      // instead of constructing a fresh model per call.
-      retired_gate_evals_ += scratch_->stats().gate_evals;
-      retired_events_ += scratch_->stats().events;
-      scratch_->reset(std::nullopt, 1, sc_config);
-    } else {
-      scratch_ = pool_ ? pool_->acquire(std::nullopt, 1, sc_config)
-                       : FrameModelPool::standalone(c, std::nullopt, 1,
-                                                    sc_config);
-    }
-    FrameModel& scratch = *scratch_;
-    const auto pis = c.primary_inputs();
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      scratch.assign_pi(0, i, model_.pi_value(0, i));
-    }
-    const std::size_t nff = c.flip_flops().size();
+sim::State3 FrameGoalSearch::minimized_state() {
+  // Greedily clear state assignments whose removal keeps every goal
+  // satisfied, probing on the search model, then put the solution back.
+  const std::size_t nff = model_.circuit().flip_flops().size();
+  if (model_.incremental()) {
+    // Each probe is a trailed clear_state, undone when a goal breaks; the
+    // base mark then restores the solution exactly.
+    const std::size_t base = model_.trail_mark();
     for (std::size_t i = 0; i < nff; ++i) {
-      scratch.assign_state(i, model_.state_value(i));
+      if (model_.state_value(i) == V3::kX) continue;
+      const std::size_t mark = model_.trail_mark();
+      model_.clear_state(i);
+      if (!satisfied()) model_.undo_to(mark);
     }
-    scratch.simulate();
-    auto holds = [&] {
-      return std::all_of(goals_.begin(), goals_.end(),
-                         [&](const Objective& g) {
-                           return scratch.good(0, g.node) == g.value;
-                         });
-    };
-    for (std::size_t i = 0; i < nff; ++i) {
-      const V3 saved = scratch.state_value(i);
-      if (saved == V3::kX) continue;
-      scratch.clear_state(i);
-      scratch.simulate();
-      if (!holds()) {
-        scratch.assign_state(i, saved);
-        scratch.simulate();
-      }
-    }
-    // The live scratch's stats are folded in by flush_stats; the retired
-    // tally only collects effort about to be wiped by reset().
-    return scratch.extract_state();
+    State3 minimized = model_.extract_state();
+    model_.undo_to(base);
+    return minimized;
   }
-  // Incremental: reuse one scratch model, reset through the trail; each
-  // greedy probe is a trailed clear_state undone when a goal breaks.
-  if (!scratch_) {
-    const FrameModelConfig sc_config{/*incremental=*/true, model_.flat()};
-    scratch_ = pool_ ? pool_->acquire(std::nullopt, 1, sc_config)
-                     : FrameModelPool::standalone(c, std::nullopt, 1,
-                                                  sc_config);
-  }
-  FrameModel& sc = *scratch_;
-  sc.undo_to(0);  // single-frame model: construction state is consistent
-  const auto pis = c.primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    const V3 v = model_.pi_value(0, i);
-    if (v != V3::kX) sc.assign_pi(0, i, v);
-  }
-  const std::size_t nff = c.flip_flops().size();
+  // Oblivious: values follow assignments only through simulate(), so a
+  // failed probe just re-assigns (the next probe re-simulates anyway).
+  const State3 solution = model_.extract_state();
   for (std::size_t i = 0; i < nff; ++i) {
-    const V3 v = model_.state_value(i);
-    if (v != V3::kX) sc.assign_state(i, v);
+    if (solution[i] == V3::kX) continue;
+    model_.clear_state(i);
+    model_.simulate();
+    if (!satisfied()) model_.assign_state(i, solution[i]);
   }
-  auto holds = [&] {
-    return std::all_of(goals_.begin(), goals_.end(), [&](const Objective& g) {
-      return sc.good(0, g.node) == g.value;
-    });
-  };
-  for (std::size_t i = 0; i < nff; ++i) {
-    if (sc.state_value(i) == V3::kX) continue;
-    const std::size_t mark = sc.trail_mark();
-    sc.clear_state(i);
-    if (!holds()) sc.undo_to(mark);
-  }
-  return sc.extract_state();
+  State3 minimized = model_.extract_state();
+  for (std::size_t i = 0; i < nff; ++i) model_.assign_state(i, solution[i]);
+  model_.simulate();
+  return minimized;
 }
 
 DeterministicJustifier::DeterministicJustifier(const netlist::Circuit& c,

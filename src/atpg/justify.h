@@ -36,9 +36,14 @@ class FrameGoalSearch {
  public:
   enum class Step { kSolution, kExhausted, kAborted };
 
-  /// `pool` (optional) recycles the frame model and the minimization
-  /// scratch across searches — the justifier builds one FrameGoalSearch per
-  /// recursion level per fault, so pooling turns that into a reset.
+  /// `pool` (optional) recycles the frame model across searches — the
+  /// justifier builds one FrameGoalSearch per recursion level per fault, so
+  /// pooling turns that into a reset.  The search's one model is all it
+  /// uses: minimization probes it in place.  An incremental model is
+  /// restricted to the goals' fanin cone (FrameModel::
+  /// restrict_to_fanin_cone); every read the search makes — goals,
+  /// conflicts, backtrace — stays inside that cone, so decisions and
+  /// solutions equal those of an unrestricted model.
   FrameGoalSearch(const netlist::Circuit& c, std::vector<Objective> goals,
                   FrameModelConfig config = {},
                   FrameModelPool* pool = nullptr);
@@ -59,7 +64,12 @@ class FrameGoalSearch {
   /// uniquely possible) to justify.  Without this minimization the
   /// justifier is incomplete: it can reject states whose only witnesses
   /// leave flip-flops unknown.
-  sim::State3 minimized_state() const;
+  ///
+  /// The greedy probes (flip-flop index order) run on the search model
+  /// itself, which is then restored exactly — assignments, values and
+  /// trail_mark() — so the search continues as if it had never been
+  /// called.  Only the effort counters move.
+  sim::State3 minimized_state();
 
  private:
   bool conflict() const;
@@ -70,17 +80,10 @@ class FrameGoalSearch {
   /// Adds the model-side effort accrued since the last flush to `stats`.
   void flush_stats(SearchStats& stats);
 
-  FrameModelPool* pool_ = nullptr;  // may be null (standalone models)
   FrameModelHandle model_h_;
   FrameModel& model_;
   DecisionStack stack_;
   std::vector<Objective> goals_;
-  /// Scratch model reused by minimized_state (both modes; pooled).
-  mutable FrameModelHandle scratch_;
-  /// Effort of already-destroyed oblivious minimized_state scratch models,
-  /// folded into flush_stats so both modes account minimization identically.
-  mutable std::uint64_t retired_gate_evals_ = 0;
-  mutable std::uint64_t retired_events_ = 0;
   std::uint64_t synced_gate_evals_ = 0;
   std::uint64_t synced_events_ = 0;
   bool started_ = false;

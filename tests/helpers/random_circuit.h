@@ -5,6 +5,7 @@
 // seed always yields the same circuit.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,13 @@ struct RandomCircuitSpec {
   std::uint64_t seed = 1;
 };
 
+/// `prefix` followed by the decimal `index` ("g12").  Appends instead of
+/// `prefix + std::to_string(index)`, whose inlined insert GCC 12 flags with
+/// a false -Wrestrict at -O3.
+inline std::string indexed_name(const char* prefix, std::uint64_t index) {
+  return std::string(prefix).append(std::to_string(index));
+}
+
 inline netlist::Circuit make_random_circuit(const RandomCircuitSpec& spec) {
   using netlist::GateType;
   using netlist::NodeId;
@@ -30,11 +38,11 @@ inline netlist::Circuit make_random_circuit(const RandomCircuitSpec& spec) {
 
   std::vector<NodeId> pool;
   for (std::size_t i = 0; i < spec.num_inputs; ++i) {
-    pool.push_back(b.add_input("pi" + std::to_string(i)));
+    pool.push_back(b.add_input(indexed_name("pi", i)));
   }
   std::vector<NodeId> ffs;
   for (std::size_t i = 0; i < spec.num_ffs; ++i) {
-    const NodeId q = b.add_dff("ff" + std::to_string(i));
+    const NodeId q = b.add_dff(indexed_name("ff", i));
     ffs.push_back(q);
     pool.push_back(q);
   }
@@ -49,7 +57,7 @@ inline netlist::Circuit make_random_circuit(const RandomCircuitSpec& spec) {
     const std::size_t arity = unary ? 1 : 2 + rng.below(3);  // 2..4
     std::vector<NodeId> ins(arity);
     for (auto& in : ins) in = pool[rng.below(pool.size())];
-    pool.push_back(b.add_gate(t, "g" + std::to_string(g), ins));
+    pool.push_back(b.add_gate(t, indexed_name("g", g), ins));
   }
 
   for (NodeId q : ffs) {
@@ -58,7 +66,7 @@ inline netlist::Circuit make_random_circuit(const RandomCircuitSpec& spec) {
   for (std::size_t o = 0; o < spec.num_outputs; ++o) {
     b.mark_output(pool[pool.size() - 1 - (o % pool.size())]);
   }
-  return std::move(b).build("rand" + std::to_string(spec.seed));
+  return std::move(b).build(indexed_name("rand", spec.seed));
 }
 
 /// Random ternary input vector (X with probability x_prob).

@@ -25,7 +25,10 @@ class ReferenceSimulator {
  public:
   explicit ReferenceSimulator(const netlist::Circuit& c,
                               std::optional<fault::Fault> f = std::nullopt)
-      : c_(c), fault_(f), value_(c.node_count(), sim::V3::kX) {
+      : c_(c),
+        faulted_(f.has_value()),
+        fault_(f.value_or(fault::Fault{})),
+        value_(c.node_count(), sim::V3::kX) {
     for (netlist::NodeId n = 0; n < c_.node_count(); ++n) {
       if (c_.type(n) == netlist::GateType::kConst0) value_[n] = sim::V3::k0;
       if (c_.type(n) == netlist::GateType::kConst1) value_[n] = sim::V3::k1;
@@ -62,11 +65,11 @@ class ReferenceSimulator {
     std::vector<sim::V3> next(ffs.size());
     for (std::size_t i = 0; i < ffs.size(); ++i) {
       sim::V3 v = value_[c_.fanins(ffs[i])[0]];
-      if (fault_ && fault_->node == ffs[i] && fault_->pin == 0 && active_) {
+      if (faulted_ && fault_.node == ffs[i] && fault_.pin == 0 && active_) {
         v = stuck_value();
       }
-      if (fault_ && fault_->node == ffs[i] &&
-          fault_->pin == fault::kOutputPin && latch_active_) {
+      if (faulted_ && fault_.node == ffs[i] &&
+          fault_.pin == fault::kOutputPin && latch_active_) {
         v = stuck_value();
       }
       next[i] = v;
@@ -85,13 +88,13 @@ class ReferenceSimulator {
 
  private:
   sim::V3 stuck_value() const {
-    return fault_->stuck_at ? sim::V3::k1 : sim::V3::k0;
+    return fault_.stuck_at ? sim::V3::k1 : sim::V3::k0;
   }
 
   void force_stem_sources(bool gate) {
-    if (!gate || !fault_ || fault_->pin != fault::kOutputPin) return;
-    const auto t = c_.type(fault_->node);
-    if (!netlist::is_combinational(t)) value_[fault_->node] = stuck_value();
+    if (!gate || !faulted_ || fault_.pin != fault::kOutputPin) return;
+    const auto t = c_.type(fault_.node);
+    if (!netlist::is_combinational(t)) value_[fault_.node] = stuck_value();
   }
 
   sim::V3 eval(netlist::NodeId g) const {
@@ -101,7 +104,7 @@ class ReferenceSimulator {
     const auto fanins = c_.fanins(g);
     for (std::size_t p = 0; p < fanins.size(); ++p) {
       V3 v = value_[fanins[p]];
-      if (fault_ && fault_->node == g && fault_->pin == static_cast<int>(p) &&
+      if (faulted_ && fault_.node == g && fault_.pin == static_cast<int>(p) &&
           active_) {
         v = stuck_value();
       }
@@ -152,7 +155,7 @@ class ReferenceSimulator {
         out = V3::kX;
         break;
     }
-    if (fault_ && fault_->node == g && fault_->pin == fault::kOutputPin &&
+    if (faulted_ && fault_.node == g && fault_.pin == fault::kOutputPin &&
         active_) {
       out = stuck_value();
     }
@@ -160,7 +163,11 @@ class ReferenceSimulator {
   }
 
   const netlist::Circuit& c_;
-  std::optional<fault::Fault> fault_;
+  // A plain value plus a flag rather than std::optional<Fault>: GCC 12
+  // reports -Wmaybe-uninitialized through every guarded optional read once
+  // this class is inlined and copied.
+  bool faulted_ = false;
+  fault::Fault fault_;
   std::vector<sim::V3> value_;
   bool active_ = true;
   bool latch_active_ = true;

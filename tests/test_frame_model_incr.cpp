@@ -6,9 +6,12 @@
 // nested-vector layout, on randomized operation sequences (assignments,
 // clears, window extensions, trail-based backtracking) over every registry
 // circuit; the deterministic search built on top must make identical
-// decisions in every mode/layout combination.  FrameModelPool reuse
-// (reset-and-reuse instead of per-fault construction) must also be
-// bit-identical and must retain buffer capacity across shrink/grow cycles.
+// decisions in every mode/layout combination.  A model restricted to a
+// goal set's fanin cone must agree with an unrestricted one inside the
+// cone, and FrameGoalSearch's in-place minimization must leave its search
+// undisturbed.  FrameModelPool reuse (reset-and-reuse instead of per-fault
+// construction) must also be bit-identical and must retain buffer capacity
+// across shrink/grow cycles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -248,7 +251,9 @@ SearchRecord run_search(const netlist::Circuit& c, const Fault& f,
   // (event pops exist only in incremental mode; a search that dies on an
   // immediate excitation conflict may legitimately pop none).
   EXPECT_GT(engine.stats().gate_evals, 0);
-  if (!incremental) EXPECT_EQ(engine.stats().events, 0);
+  if (!incremental) {
+    EXPECT_EQ(engine.stats().events, 0);
+  }
   return r;
 }
 
@@ -488,6 +493,235 @@ TEST(FrameModelLayout, JustifierIsLayoutDeterministic) {
       EXPECT_EQ(flat.stats().events, legacy.stats().events)
           << name << " trial " << trial;
     }
+  }
+}
+
+// -- Cone restriction --------------------------------------------------------
+
+/// A random justification goal set: the D inputs of a random subset of
+/// flip-flops (at least one), as DeterministicJustifier builds them.
+std::vector<Objective> random_goals(const netlist::Circuit& c, util::Rng& rng) {
+  const auto ffs = c.flip_flops();
+  std::vector<Objective> goals;
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (rng.below(4) == 0) {
+      goals.push_back({0, c.fanins(ffs[i])[0], rng.bit() ? V3::k1 : V3::k0});
+    }
+  }
+  if (goals.empty()) {
+    const std::size_t i = rng.below(ffs.size());
+    goals.push_back({0, c.fanins(ffs[i])[0], V3::k1});
+  }
+  return goals;
+}
+
+std::vector<netlist::NodeId> goal_nodes(const std::vector<Objective>& goals) {
+  std::vector<netlist::NodeId> roots;
+  for (const Objective& g : goals) roots.push_back(g.node);
+  return roots;
+}
+
+/// Randomized assign/clear/undo sequences on a cone-restricted model and an
+/// unrestricted one (both incremental, fault-free, single-frame): every
+/// node of the cone must hold the same good value after every operation,
+/// the restricted model never evaluates more gates, and a pooled model
+/// re-acquired after the restricted session is unrestricted and equal to a
+/// fresh one on every node.
+TEST(FrameModelCone, RestrictedAgreesInsideTheCone) {
+  for (const std::string& name :
+       {std::string("s27"), std::string("g298"), std::string("g526")}) {
+    const auto c = gen::make_circuit(name);
+    const std::size_t npi = c.primary_inputs().size();
+    const std::size_t nff = c.flip_flops().size();
+    const V3 values[3] = {V3::k0, V3::k1, V3::kX};
+    util::Rng rng(0xc0e + c.node_count());
+    FrameModelPool pool(c);
+    std::size_t outside = 0;  // nodes left out of the cones, over all trials
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string base = name + " trial " + std::to_string(trial);
+      const auto roots = goal_nodes(random_goals(c, rng));
+      FrameModelHandle restricted = pool.acquire(std::nullopt, 1);
+      FrameModel full(c, std::nullopt, 1);
+      restricted->restrict_to_fanin_cone(roots);
+      ASSERT_TRUE(restricted->restricted()) << base;
+      // The cone holds the roots and is closed under fanins, except that
+      // frame-0 flip-flops are leaves.
+      for (netlist::NodeId r : roots) {
+        ASSERT_TRUE(restricted->in_cone(r)) << base;
+      }
+      for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+        if (!restricted->in_cone(n)) {
+          ++outside;
+          continue;
+        }
+        if (c.type(n) == netlist::GateType::kDff) continue;
+        for (netlist::NodeId in : c.fanins(n)) {
+          ASSERT_TRUE(restricted->in_cone(in)) << base << " " << c.name(n);
+        }
+      }
+      std::vector<std::pair<std::size_t, std::size_t>> marks;
+      for (int op = 0; op < 60; ++op) {
+        const std::string context = base + " op " + std::to_string(op);
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 3 && !marks.empty()) {
+          restricted->undo_to(marks.back().first);
+          full.undo_to(marks.back().second);
+          marks.pop_back();
+        } else {
+          marks.emplace_back(restricted->trail_mark(), full.trail_mark());
+          if (kind < 6) {
+            // Any PI, inside the cone or not.
+            const std::size_t i = rng.below(npi);
+            const V3 v = values[rng.below(3)];
+            restricted->assign_pi(0, i, v);
+            full.assign_pi(0, i, v);
+          } else if (kind < 7) {
+            const std::size_t i = rng.below(npi);
+            restricted->clear_pi(0, i);
+            full.clear_pi(0, i);
+          } else if (kind < 9) {
+            const std::size_t i = rng.below(nff);
+            const V3 v = values[rng.below(3)];
+            restricted->assign_state(i, v);
+            full.assign_state(i, v);
+          } else {
+            const std::size_t i = rng.below(nff);
+            restricted->clear_state(i);
+            full.clear_state(i);
+          }
+        }
+        for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+          if (!restricted->in_cone(n)) continue;
+          ASSERT_EQ(restricted->good(0, n), full.good(0, n))
+              << context << " node " << c.name(n);
+        }
+        ASSERT_EQ(restricted->extract_state(), full.extract_state())
+            << context;
+        ASSERT_EQ(restricted->extract_vectors(), full.extract_vectors())
+            << context;
+        ASSERT_LE(restricted->stats().gate_evals, full.stats().gate_evals)
+            << context;
+      }
+    }
+    // Large circuits' goal cones leave part of the frame out; otherwise the
+    // restriction would be vacuous and this test would prove nothing.
+    if (name != "s27") {
+      EXPECT_GT(outside, 0u) << name;
+    }
+
+    // The pool's model comes back unrestricted and equal to a fresh one.
+    FrameModelHandle again = pool.acquire(std::nullopt, 1);
+    EXPECT_EQ(pool.constructions(), 1u) << name;
+    EXPECT_FALSE(again->restricted()) << name;
+    FrameModel fresh(c, std::nullopt, 1);
+    util::Rng ops(5);
+    for (int op = 0; op < 8; ++op) {
+      const std::size_t i = ops.below(npi);
+      const V3 v = values[ops.below(3)];
+      again->assign_pi(0, i, v);
+      fresh.assign_pi(0, i, v);
+      for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+        ASSERT_EQ(again->good(0, n), fresh.good(0, n))
+            << name << " op " << op << " node " << c.name(n);
+      }
+      ASSERT_EQ(again->stats().gate_evals, fresh.stats().gate_evals) << name;
+    }
+  }
+}
+
+TEST(FrameModelCone, ObliviousModelIgnoresTheRestriction) {
+  const auto c = gen::make_circuit("g298");
+  FrameModel m(c, std::nullopt, 1, FrameModelConfig{false});
+  const std::vector<netlist::NodeId> roots = {
+      c.fanins(c.flip_flops()[0])[0]};
+  m.restrict_to_fanin_cone(roots);
+  EXPECT_FALSE(m.restricted());
+  for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+    EXPECT_TRUE(m.in_cone(n));
+  }
+}
+
+/// Everything minimized_state() must leave untouched on the search model.
+struct ModelSnapshot {
+  std::vector<V3> pis;
+  sim::State3 state;
+  std::vector<V3> cone_values;
+  std::size_t trail_mark = 0;
+
+  bool operator==(const ModelSnapshot&) const = default;
+};
+
+ModelSnapshot snapshot(const netlist::Circuit& c, const FrameModel& m) {
+  ModelSnapshot s;
+  for (std::size_t i = 0; i < c.primary_inputs().size(); ++i) {
+    s.pis.push_back(m.pi_value(0, i));
+  }
+  s.state = m.extract_state();
+  for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+    if (m.in_cone(n)) s.cone_values.push_back(m.good(0, n));
+  }
+  s.trail_mark = m.trail_mark();
+  return s;
+}
+
+/// In-place minimization: after every solution, minimized_state() leaves
+/// the search model as it found it, the solutions that follow equal those
+/// of a search that never minimized, each cube equals the oblivious-mode
+/// cube, and each cube still satisfies the goals on a fresh model.
+TEST(FrameGoalSearchMinimize, InPlaceProbesLeaveTheSearchIntact) {
+  for (const std::string& name :
+       {std::string("s27"), std::string("g298"), std::string("g526")}) {
+    const auto c = gen::make_circuit(name);
+    util::Rng rng(0x5ea + c.node_count());
+    const auto deadline = util::Deadline::unlimited();
+    std::size_t solutions = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string base = name + " trial " + std::to_string(trial);
+      const auto goals = random_goals(c, rng);
+      FrameModelPool pool(c);
+      FrameGoalSearch minimizing(c, goals, FrameModelConfig{true}, &pool);
+      FrameGoalSearch plain(c, goals, FrameModelConfig{true}, &pool);
+      FrameGoalSearch oblivious(c, goals, FrameModelConfig{false}, &pool);
+      SearchStats sm, sp, so;
+      for (int k = 0; k < 8; ++k) {
+        const std::string context = base + " solution " + std::to_string(k);
+        const auto step = minimizing.next(deadline, 200, sm);
+        ASSERT_EQ(step, plain.next(deadline, 200, sp)) << context;
+        ASSERT_EQ(step, oblivious.next(deadline, 200, so)) << context;
+        if (step != FrameGoalSearch::Step::kSolution) break;
+        ++solutions;
+        const FrameModel& m = minimizing.model();
+        ASSERT_EQ(m.extract_state(), plain.model().extract_state()) << context;
+        ASSERT_EQ(m.extract_vectors(), plain.model().extract_vectors())
+            << context;
+
+        const ModelSnapshot before = snapshot(c, m);
+        const sim::State3 cube = minimizing.minimized_state();
+        ASSERT_EQ(snapshot(c, m), before) << context;
+
+        const ModelSnapshot obl_before = snapshot(c, oblivious.model());
+        ASSERT_EQ(oblivious.minimized_state(), cube) << context;
+        ASSERT_EQ(snapshot(c, oblivious.model()), obl_before) << context;
+
+        FrameModel check(c, std::nullopt, 1);
+        for (std::size_t i = 0; i < c.primary_inputs().size(); ++i) {
+          check.assign_pi(0, i, m.pi_value(0, i));
+        }
+        for (std::size_t i = 0; i < cube.size(); ++i) {
+          ASSERT_TRUE(cube[i] == V3::kX || cube[i] == before.state[i])
+              << context << " ff " << i;
+          check.assign_state(i, cube[i]);
+        }
+        for (const Objective& g : goals) {
+          ASSERT_EQ(check.good(0, g.node), g.value) << context;
+        }
+      }
+      EXPECT_EQ(sm.decisions, sp.decisions) << base;
+      EXPECT_EQ(sm.backtracks, sp.backtracks) << base;
+      EXPECT_EQ(sm.decisions, so.decisions) << base;
+      EXPECT_EQ(sm.backtracks, so.backtracks) << base;
+    }
+    EXPECT_GT(solutions, 0u) << name;
   }
 }
 

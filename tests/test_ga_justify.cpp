@@ -52,7 +52,9 @@ TEST(GaStateJustifier, FindsReachableState) {
   }
   const State3 reached = check.state();
   for (std::size_t i = 0; i < target.size(); ++i) {
-    if (target[i] != V3::kX) EXPECT_EQ(reached[i], target[i]);
+    if (target[i] != V3::kX) {
+      EXPECT_EQ(reached[i], target[i]);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "gen/pcont.h"
 #include "gen/registry.h"
 #include "gen/s27.h"
+#include "helpers/random_circuit.h"
 #include "netlist/depth.h"
 #include "sim/seqsim.h"
 #include "util/rng.h"
@@ -17,6 +18,7 @@ namespace {
 
 using sim::V3;
 using sim::Vector3;
+using test::indexed_name;
 
 // ---------- driving helpers ----------
 
@@ -80,7 +82,7 @@ int run_multiply(const netlist::Circuit& c, unsigned width, int a, int b) {
   const unsigned hi_start = width;
   unsigned hi = 0;
   for (unsigned bit = 0; bit < width; ++bit) {
-    if (s.scalar_value(c.find("p" + std::to_string(hi_start + bit))) ==
+    if (s.scalar_value(c.find(indexed_name("p", hi_start + bit))) ==
         V3::k1) {
       hi |= 1u << bit;
     }
@@ -189,11 +191,11 @@ struct Am2910Driver {
           value ? V3::k1 : V3::k0;
     };
     for (unsigned bit = 0; bit < 4; ++bit) {
-      set_bit("i" + std::to_string(bit),
+      set_bit(indexed_name("i", bit),
               (static_cast<unsigned>(op) >> bit) & 1);
     }
     for (unsigned bit = 0; bit < 12; ++bit) {
-      set_bit("d" + std::to_string(bit), (d >> bit) & 1);
+      set_bit(indexed_name("d", bit), (d >> bit) & 1);
     }
     // pass when ccen_n high or cc_n low.
     set_bit("ccen_n", false);
@@ -203,7 +205,7 @@ struct Am2910Driver {
     s.apply_vector(v);
     unsigned y = 0;
     for (unsigned bit = 0; bit < 12; ++bit) {
-      if (s.scalar_value(c.find("y" + std::to_string(bit))) == V3::k1) {
+      if (s.scalar_value(c.find(indexed_name("y", bit))) == V3::k1) {
         y |= 1u << bit;
       }
     }
@@ -287,7 +289,7 @@ TEST(Am2910, EnableOutputsFollowInstruction) {
   auto set_op = [&](Am2910Op op) {
     for (unsigned bit = 0; bit < 4; ++bit) {
       v[static_cast<std::size_t>(
-          drv.c.pi_index(drv.c.find("i" + std::to_string(bit))))] =
+          drv.c.pi_index(drv.c.find(indexed_name("i", bit))))] =
           ((static_cast<unsigned>(op) >> bit) & 1) ? V3::k1 : V3::k0;
     }
   };
@@ -495,7 +497,7 @@ TEST(FsmGen, BehaviourMatchesTables) {
     in[2] = iv & 2 ? V3::k1 : V3::k0;
     s.apply_vector(in);
     for (unsigned k = 0; k < spec.num_outputs; ++k) {
-      const auto out = c.find("out" + std::to_string(k));
+      const auto out = c.find(indexed_name("out", k));
       ASSERT_EQ(s.scalar_value(out),
                 tables.outputs[state][k] ? V3::k1 : V3::k0)
           << "state " << state << " output " << k;

@@ -77,7 +77,7 @@ TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
   for (const char* name : {"g386", "mult4", "div4"}) {
     const auto c = gen::make_circuit(name);
     HybridConfig cfg = fast_config();
-    cfg.schedule = PassSchedule::ga_hitec(0.01);
+    cfg.schedule = work_bounded_ga_hitec(3);
     HybridAtpg atpg(c, cfg);
     const AtpgResult result = atpg.run();
     const auto report = fault::grade_sequence(c, result.test_set);
@@ -90,7 +90,7 @@ TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
 TEST(HybridAtpg, PassOutcomesAreCumulative) {
   const auto c = gen::make_circuit("g386");
   HybridConfig cfg = fast_config();
-  cfg.schedule = PassSchedule::ga_hitec(0.01);
+  cfg.schedule = work_bounded_ga_hitec(3);
   const AtpgResult result = HybridAtpg(c, cfg).run();
   ASSERT_EQ(result.passes.size(), 3u);
   for (std::size_t p = 1; p < result.passes.size(); ++p) {
@@ -129,7 +129,8 @@ TEST(HybridAtpg, UntestableClaimsHoldOnSmallCircuits) {
   const auto c = std::move(b).build("red_seq");
 
   const AtpgResult result = HybridAtpg(c, fast_config()).run();
-  const auto& faults = HybridAtpg(c, fast_config()).fault_list().faults;
+  // A copy: the engine is a temporary, so a reference would dangle.
+  const auto faults = HybridAtpg(c, fast_config()).fault_list().faults;
   for (std::size_t i = 0; i < result.fault_state.size(); ++i) {
     if (result.fault_state[i] == FaultState::kUntestable) {
       const auto truth = test::exhaustively_detectable(c, faults[i]);

@@ -147,7 +147,7 @@ TEST(AnalogSuite, FaultSimSanityOnEveryAnalog) {
 }
 
 TEST(Registry, CircuitConstructionIsDeterministic) {
-  for (const std::string& name : {"am2910", "pcont2", "g1488"}) {
+  for (const char* name : {"am2910", "pcont2", "g1488"}) {
     const auto a = gen::make_circuit(name);
     const auto b = gen::make_circuit(name);
     ASSERT_EQ(a.node_count(), b.node_count()) << name;

@@ -363,7 +363,10 @@ TEST_P(GoldenEquivalence, AlternatingG386) {
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenEquivalence,
                          ::testing::Values(1u, 4u),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           // append, not "t" + ...: GCC 12 flags the
+                           // latter with a false -Wrestrict at -O3.
+                           return std::string("t").append(
+                               std::to_string(info.param));
                          });
 
 TEST(GoldenEquivalenceSerial, RandomS27) {
