@@ -20,51 +20,40 @@
 // frame later).  An X launch merges the forced and fault-free values
 // (agreeing values survive, disagreement decays to X) — a sound
 // over-approximation of "maybe forced"; frames before the skew horizon are
-// unconditionally fault-free (power-up cannot launch).  The incremental
-// engine tracks the extra cross-frame dependency with an explicit
-// launch-line hook in reeval_node.
+// unconditionally fault-free (power-up cannot launch).  Implication tracks
+// the extra cross-frame dependency with an explicit launch-line hook in
+// reeval_node.
 //
-// Two evaluation engines produce bit-identical values:
+// Implication is event-driven: every assignment propagates through a
+// levelized event queue — only nodes whose value actually changes are
+// re-evaluated, fanouts are scheduled at (frame, level) keys, and changes
+// cross DFF boundaries into later frames.  Each changed value is recorded on
+// a trail, so DecisionStack backtracking restores the exact previous state
+// by popping trail entries instead of re-simulating the window.  The
+// D-frontier, po_has_d() and d_reaches_ff_input() are maintained as side
+// effects of propagation.  Cost per decision is O(affected cone).
 //
-// * Oblivious (FrameModelConfig{.incremental = false}, the retained
-//   reference): assignments only record themselves; simulate() recomputes
-//   both planes of every active frame in topological order.  Trivially
-//   correct; O(frames × gates) per PODEM decision.
-// * Incremental (the default): every assignment propagates through a
-//   levelized event queue — only nodes whose value actually changes are
-//   re-evaluated, fanouts are scheduled at (frame, level) keys, and changes
-//   cross DFF boundaries into later frames.  Each changed value is recorded
-//   on a trail, so DecisionStack backtracking restores the exact previous
-//   state by popping trail entries instead of re-simulating the window.
-//   The D-frontier, po_has_d() and d_reaches_ff_input() are maintained as
-//   side effects of propagation.  Cost per decision is O(affected cone).
+// Storage (DESIGN.md §4h): both planes live in one flat byte buffer indexed
+// by cell(frame, node) — good in bits 0..1, faulty in bits 2..3 — so
+// composite() and the D-detection summaries are single loads, and
+// combinational gates evaluate both planes at once through a per-gate-type
+// branchless kernel table.  Fault-free models mirror the good pair into the
+// faulty pair so the decode is branch-free.
 //
-// Orthogonally, two storage layouts produce bit-identical values (see
-// DESIGN.md §4h):
+// Cone restriction (restrict_to_fanin_cone): a fault-free, single-frame
+// model — the shape of one reverse-time justification frame — can confine
+// event propagation to the transitive fanin cone of a set of root nodes
+// (the goals' flip-flop D inputs).  Fanouts outside the cone are never
+// scheduled, so implication work scales with what the goals can see instead
+// of with the whole frame.  While a model is restricted, good values inside
+// the cone are exact and values outside it are unspecified (stale); only
+// read the cone.  reset() lifts the restriction, so pooled models always
+// come back unrestricted.
 //
-// * Flat (FrameModelConfig{.flat = true}, the default): both planes live in
-//   one flat byte buffer indexed by cell(frame, node) — good in bits 0..1,
-//   faulty in bits 2..3 — so composite() and the D-detection summaries are
-//   single loads, and combinational gates evaluate both planes at once
-//   through a per-gate-type branchless kernel table.  Fault-free models
-//   mirror the good pair into the faulty pair so the decode is branch-free.
-// * Legacy (.flat = false, the retained reference): the original nested
-//   vector<vector<V3>> plane-per-frame layout.
-//
-// Cone restriction (restrict_to_fanin_cone): an incremental, fault-free,
-// single-frame model — the shape of one reverse-time justification frame —
-// can confine event propagation to the transitive fanin cone of a set of
-// root nodes (the goals' flip-flop D inputs).  Fanouts outside the cone are
-// never scheduled, so implication work scales with what the goals can see
-// instead of with the whole frame.  While a model is restricted, good
-// values inside the cone are exact and values outside it are unspecified
-// (stale); only read the cone.  reset() lifts the restriction, so pooled
-// models always come back unrestricted.  The oblivious engine ignores the
-// call: it stays the unrestricted reference.
-//
-// tests/test_frame_model_incr.cpp differential-tests the engines, the
-// layouts, and restricted against unrestricted models on randomized
-// operation sequences.
+// The oracle is tests/helpers/reference_frame_model.h, a naive re-simulate-
+// everything model that shares no evaluation code with this one;
+// tests/test_frame_model_incr.cpp checks the two against each other on
+// randomized operation sequences over every registry circuit.
 #pragma once
 
 #include <array>
@@ -81,23 +70,14 @@
 
 namespace gatpg::atpg {
 
-struct FrameModelConfig {
-  /// Event-driven implication with trail-based backtracking (default) vs
-  /// the oblivious full re-simulation reference.
-  bool incremental = true;
-  /// Flat composite-byte cell storage + kernel-table dispatch (default) vs
-  /// the legacy nested-vector plane layout (the retained reference).
-  bool flat = true;
-};
-
 /// Implication-effort counters, accumulated over the model's lifetime
-/// (reset() zeroes them; clear_stats() lets owners fold them elsewhere).
+/// (reset() zeroes them).
 struct FrameModelStats {
   std::uint64_t gate_evals = 0;  // combinational gate evaluations (per plane)
-  std::uint64_t events = 0;      // event-queue pops (incremental mode only)
+  std::uint64_t events = 0;      // event-queue pops
 };
 
-// -- Composite-byte cell encoding (flat layout) ------------------------------
+// -- Composite-byte cell encoding --------------------------------------------
 //
 // One byte per (frame, node) cell holds both planes as two (v1, v0) bit
 // pairs: bit0 = good.v1, bit1 = good.v0, bit2 = faulty.v1, bit3 = faulty.v0.
@@ -153,25 +133,17 @@ class FrameModel {
  public:
   /// `fault` may be empty (justification mode: good plane only).
   FrameModel(const netlist::Circuit& c, std::optional<fault::Fault> fault,
-             unsigned max_frames, FrameModelConfig config = {});
+             unsigned max_frames);
 
   /// Reinitializes the model to the exact post-construction state for a
-  /// (possibly different) fault / window cap / config, reusing every buffer
+  /// (possibly different) fault / window cap, reusing every buffer
   /// whose capacity suffices.  Bit-identical to constructing a fresh model;
   /// the pool below relies on this.  Stats are zeroed (buffer_grows() is
   /// not — it counts allocations over the object's whole lifetime).
-  void reset(std::optional<fault::Fault> fault, unsigned max_frames,
-             FrameModelConfig config = {});
+  void reset(std::optional<fault::Fault> fault, unsigned max_frames);
 
   const netlist::Circuit& circuit() const { return circuit_; }
-  bool has_fault() const { return fault_.has_value(); }
-  const fault::Fault& fault() const { return *fault_; }
-  bool incremental() const { return config_.incremental; }
-  bool flat() const { return config_.flat; }
   const FrameModelStats& stats() const { return stats_; }
-  /// Zeroes the lifetime counters (owners fold them into retired tallies
-  /// before reusing a model so totals stay exact across reset()).
-  void clear_stats() { stats_ = {}; }
   /// Number of times a value/queue/frontier buffer actually had to grow —
   /// stays flat across reset() and window shrink/grow cycles once a model
   /// has seen its largest window (capacity is retained, never released).
@@ -197,44 +169,35 @@ class FrameModel {
     return state_assign_[ff_index];
   }
 
-  // -- Trail (incremental mode) ------------------------------------------
+  // -- Trail ---------------------------------------------------------------
   /// Position marker into the change trail.  Record a mark before a batch
   /// of assignments, then undo_to(mark) restores values *and* assignments
   /// to exactly the marked state without re-simulation.  Mark 0 is the
-  /// post-construction (all-unassigned) state.  In oblivious mode the trail
-  /// is empty: trail_mark() is always 0 and undo_to is a no-op (callers
-  /// must clear assignments themselves and re-simulate).
+  /// post-construction (all-unassigned) state.  The window size is not on
+  /// the trail: a caller that changed it since the mark restores it with
+  /// set_frame_count() (DecisionStack records it beside each mark).
   std::size_t trail_mark() const { return trail_.size(); }
   void undo_to(std::size_t mark);
 
   // -- Values --------------------------------------------------------------
   sim::V3 good(unsigned frame, netlist::NodeId n) const {
-    return config_.flat ? compbits::good(comp_[cell(frame, n)])
-                        : good_[frame][n];
+    return compbits::good(comp_[cell(frame, n)]);
   }
   sim::V3 faulty(unsigned frame, netlist::NodeId n) const {
-    if (config_.flat) return compbits::faulty(comp_[cell(frame, n)]);
-    return fault_ ? faulty_[frame][n] : good_[frame][n];
+    return compbits::faulty(comp_[cell(frame, n)]);
   }
   Composite composite(unsigned frame, netlist::NodeId n) const {
-    if (config_.flat) {
-      // Fault-free models mirror the good pair into the faulty bits, so
-      // this is one load in every configuration.
-      const std::uint8_t b = comp_[cell(frame, n)];
-      return {compbits::good(b), compbits::faulty(b)};
-    }
-    return {good(frame, n), faulty(frame, n)};
+    // Fault-free models mirror the good pair into the faulty bits, so this
+    // is one load with or without a fault.
+    const std::uint8_t b = comp_[cell(frame, n)];
+    return {compbits::good(b), compbits::faulty(b)};
   }
-
-  /// Oblivious mode: recomputes both planes for all active frames.
-  /// Incremental mode: no-op (values are maintained eagerly); safe to call.
-  void simulate();
 
   // -- Cone restriction (see the header comment) ----------------------------
   /// Restricts event propagation to the transitive fanin cone of `roots`
   /// (frame-0 flip-flops are cone leaves: their fanin belongs to an earlier
-  /// frame).  Only legal on fault-free single-frame models; a no-op on
-  /// oblivious models.  Replaces any previous restriction; the current
+  /// frame).  Only legal on fault-free single-frame models.  Replaces any
+  /// previous restriction; the current
   /// values must be consistent (as after construction, reset() or any
   /// unrestricted operation).  Values outside the cone become unspecified.
   void restrict_to_fanin_cone(std::span<const netlist::NodeId> roots);
@@ -250,7 +213,7 @@ class FrameModel {
 
   /// D-frontier: gates with composite-X output and at least one D/D̄ fanin,
   /// over all active frames.  Returned as (frame, node) pairs in (frame,
-  /// topological-position) order — identical in both modes.  The returned
+  /// topological-position) order.  The returned
   /// reference aliases a member buffer that the next d_frontier() call
   /// overwrites; copy it if it must survive further model mutation.
   struct FrontierGate {
@@ -274,22 +237,17 @@ class FrameModel {
     std::uint32_t index;  // node id (kGood/kFaulty) or PI/FF index
   };
 
-  void simulate_plane(std::vector<std::vector<sim::V3>>& plane, bool inject);
-  /// Evaluates one node of one plane in the legacy layout (sources,
-  /// constants, gates; fault injection applied when `inject`).
-  sim::V3 eval_node(const std::vector<std::vector<sim::V3>>& plane,
-                    unsigned frame, netlist::NodeId n, bool inject);
-
-  // Flat-layout evaluation.
+  // Evaluation.
   /// Computes the composite byte of (frame, node) from current assignments
-  /// and fanin cells; bumps gate_evals exactly like the per-plane path.
+  /// and fanin cells; counts one gate eval per plane (2 with a fault, 1
+  /// without).
   std::uint8_t compute_comp(unsigned frame, netlist::NodeId n);
   /// Slow path for the fault-site node (pin forcing, per-plane eval).
   std::uint8_t compute_comp_faulted(unsigned frame, netlist::NodeId n);
-  void simulate_flat();
 
-  // Incremental machinery.
-  void init_incremental();
+  // Event-driven implication.
+  /// Sizes the event queue, the D summaries and the frontier buffers.
+  void init_implication();
   void enqueue(unsigned frame, netlist::NodeId n);
   void schedule_fanouts(unsigned frame, netlist::NodeId n);
   /// Clears the cone restriction (only the bits the cone set).
@@ -305,8 +263,7 @@ class FrameModel {
   /// 0 = inactive (fault-free value), 1 = active (forced value),
   /// 2 = X launch (merge the forced and fault-free values).
   int launch_state(unsigned frame) const;
-  /// `before`/`after` are composite bytes (compbits encoding) — the flat
-  /// path passes its cells straight through; the legacy path packs.
+  /// `before`/`after` are composite bytes (compbits encoding).
   void note_composite_change(unsigned frame, netlist::NodeId n,
                              std::uint8_t before, std::uint8_t after);
   void refresh_frontier(unsigned frame, netlist::NodeId gate) const;
@@ -341,27 +298,22 @@ class FrameModel {
   std::size_t node_stride_ = 0;
   std::size_t pi_stride_ = 0;
   unsigned max_frames_ = 1;
-  FrameModelConfig config_;
   unsigned frame_count_ = 1;
   FrameModelStats stats_;
   std::uint64_t buffer_grows_ = 0;
 
-  // Assignments (flat: [frame × pi]).
+  // Assignments ([frame × pi] and [ff]).
   std::vector<sim::V3> pi_assign_;
   std::vector<sim::V3> state_assign_;  // [ff]
 
-  // Flat layout: one composite byte per cell(frame, node).
+  // One composite byte per cell(frame, node).
   std::vector<std::uint8_t> comp_;
-  // Per-node both-plane gate kernels (flat layout; circuit-static).
+  // Per-node both-plane gate kernels (circuit-static).
   using CompGateFn = std::uint8_t (*)(const std::uint8_t*,
                                       const netlist::NodeId*, std::size_t);
   std::vector<CompGateFn> comp_fn_;
 
-  // Legacy layout: simulated planes [frame][node].
-  std::vector<std::vector<sim::V3>> good_;
-  std::vector<std::vector<sim::V3>> faulty_;
-
-  // Change trail (incremental mode).
+  // Change trail.
   std::vector<TrailEntry> trail_;
 
   // Cone restriction: live_[n] marks the restricted cone (node-count sized,
@@ -455,28 +407,27 @@ class FrameModelPool {
   explicit FrameModelPool(const netlist::Circuit& c) : circuit_(c) {}
 
   FrameModelHandle acquire(std::optional<fault::Fault> fault,
-                           unsigned max_frames, FrameModelConfig config = {}) {
+                           unsigned max_frames) {
     ++acquires_;
     ++outstanding_;
     if (outstanding_ > peak_outstanding_) peak_outstanding_ = outstanding_;
     if (free_.empty()) {
       ++constructions_;
       all_.push_back(std::make_unique<FrameModel>(circuit_, std::move(fault),
-                                                  max_frames, config));
+                                                  max_frames));
       return {all_.back().get(), this};
     }
     FrameModel* m = free_.back();
     free_.pop_back();
-    m->reset(std::move(fault), max_frames, config);
+    m->reset(std::move(fault), max_frames);
     return {m, this};
   }
 
   /// Pool-less fallback: a handle that owns a freshly built model.
   static FrameModelHandle standalone(const netlist::Circuit& c,
                                      std::optional<fault::Fault> fault,
-                                     unsigned max_frames,
-                                     FrameModelConfig config = {}) {
-    return {new FrameModel(c, std::move(fault), max_frames, config), nullptr};
+                                     unsigned max_frames) {
+    return {new FrameModel(c, std::move(fault), max_frames), nullptr};
   }
 
   const netlist::Circuit& circuit() const { return circuit_; }
@@ -505,9 +456,7 @@ class FrameModelPool {
   /// rebuilds are not new work.
   void prewarm(std::size_t inventory) {
     while (all_.size() < inventory) {
-      all_.push_back(
-          std::make_unique<FrameModel>(circuit_, std::nullopt, 1u,
-                                       FrameModelConfig{}));
+      all_.push_back(std::make_unique<FrameModel>(circuit_, std::nullopt, 1u));
       free_.push_back(all_.back().get());
     }
   }

@@ -9,9 +9,9 @@ using sim::V3;
 
 FrameGoalSearch::FrameGoalSearch(const netlist::Circuit& c,
                                  std::vector<Objective> goals,
-                                 FrameModelConfig config, FrameModelPool* pool)
-    : model_h_(pool ? pool->acquire(std::nullopt, 1, config)
-                    : FrameModelPool::standalone(c, std::nullopt, 1, config)),
+                                 FrameModelPool* pool)
+    : model_h_(pool ? pool->acquire(std::nullopt, 1)
+                    : FrameModelPool::standalone(c, std::nullopt, 1)),
       model_(*model_h_),
       stack_(model_),
       goals_(std::move(goals)) {
@@ -64,12 +64,8 @@ FrameGoalSearch::Step FrameGoalSearch::next(const util::Deadline& deadline,
 FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
                                                long max_backtracks,
                                                SearchStats& stats) {
-  if (started_) {
-    if (!stack_.backtrack(stats)) return Step::kExhausted;
-  } else {
-    started_ = true;
-    model_.simulate();
-  }
+  if (started_ && !stack_.backtrack(stats)) return Step::kExhausted;
+  started_ = true;
   for (;;) {
     if (deadline.expired() || stats.backtracks > max_backtracks) {
       stats.clipped = true;
@@ -100,33 +96,18 @@ FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
 sim::State3 FrameGoalSearch::minimized_state() {
   // Greedily clear state assignments whose removal keeps every goal
   // satisfied, probing on the search model, then put the solution back.
+  // Each probe is a trailed clear_state, undone when a goal breaks; the
+  // base mark then restores the solution exactly.
   const std::size_t nff = model_.circuit().flip_flops().size();
-  if (model_.incremental()) {
-    // Each probe is a trailed clear_state, undone when a goal breaks; the
-    // base mark then restores the solution exactly.
-    const std::size_t base = model_.trail_mark();
-    for (std::size_t i = 0; i < nff; ++i) {
-      if (model_.state_value(i) == V3::kX) continue;
-      const std::size_t mark = model_.trail_mark();
-      model_.clear_state(i);
-      if (!satisfied()) model_.undo_to(mark);
-    }
-    State3 minimized = model_.extract_state();
-    model_.undo_to(base);
-    return minimized;
-  }
-  // Oblivious: values follow assignments only through simulate(), so a
-  // failed probe just re-assigns (the next probe re-simulates anyway).
-  const State3 solution = model_.extract_state();
+  const std::size_t base = model_.trail_mark();
   for (std::size_t i = 0; i < nff; ++i) {
-    if (solution[i] == V3::kX) continue;
+    if (model_.state_value(i) == V3::kX) continue;
+    const std::size_t mark = model_.trail_mark();
     model_.clear_state(i);
-    model_.simulate();
-    if (!satisfied()) model_.assign_state(i, solution[i]);
+    if (!satisfied()) model_.undo_to(mark);
   }
   State3 minimized = model_.extract_state();
-  for (std::size_t i = 0; i < nff; ++i) model_.assign_state(i, solution[i]);
-  model_.simulate();
+  model_.undo_to(base);
   return minimized;
 }
 
@@ -191,9 +172,7 @@ DeterministicJustifier::Outcome DeterministicJustifier::justify_rec(
     }
   }
 
-  FrameGoalSearch search(
-      c_, std::move(goals),
-      FrameModelConfig{limits_.incremental_model, limits_.flat_model}, pool_);
+  FrameGoalSearch search(c_, std::move(goals), pool_);
   bool any_aborted = false;
   for (;;) {
     const auto step = search.next(deadline, limits_.max_backtracks, stats_);
@@ -208,6 +187,8 @@ DeterministicJustifier::Outcome DeterministicJustifier::justify_rec(
     Outcome sub = justify_rec(previous, depth - 1, path, deadline);
     path.pop_back();
     if (sub.status == Status::kJustified) {
+      // No further next() will fold this solution's minimization probes.
+      search.flush_stats(stats_);
       sub.sequence.push_back(search.model().extract_vectors()[0]);
       return sub;
     }

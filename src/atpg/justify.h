@@ -39,18 +39,18 @@ class FrameGoalSearch {
   /// `pool` (optional) recycles the frame model across searches — the
   /// justifier builds one FrameGoalSearch per recursion level per fault, so
   /// pooling turns that into a reset.  The search's one model is all it
-  /// uses: minimization probes it in place.  An incremental model is
-  /// restricted to the goals' fanin cone (FrameModel::
-  /// restrict_to_fanin_cone); every read the search makes — goals,
-  /// conflicts, backtrace — stays inside that cone, so decisions and
-  /// solutions equal those of an unrestricted model.
+  /// uses: minimization probes it in place.  The model is restricted to
+  /// the goals' fanin cone (FrameModel::restrict_to_fanin_cone); every
+  /// read the search makes — goals, conflicts, backtrace — stays inside
+  /// that cone, so decisions and solutions equal those of an unrestricted
+  /// model.
   FrameGoalSearch(const netlist::Circuit& c, std::vector<Objective> goals,
-                  FrameModelConfig config = {},
                   FrameModelPool* pool = nullptr);
 
   /// Advances to the next satisfying assignment.  `stats` accumulates
   /// decisions/backtracks (and implication gate-eval/event counts) across
-  /// calls; `max_backtracks` is the shared per-fault budget.
+  /// calls; `max_backtracks` is the shared per-fault budget.  Each call
+  /// also folds the effort of earlier minimized_state() probes.
   Step next(const util::Deadline& deadline, long max_backtracks,
             SearchStats& stats);
 
@@ -68,8 +68,13 @@ class FrameGoalSearch {
   /// The greedy probes (flip-flop index order) run on the search model
   /// itself, which is then restored exactly — assignments, values and
   /// trail_mark() — so the search continues as if it had never been
-  /// called.  Only the effort counters move.
+  /// called.  Only the effort counters move; the next next() or
+  /// flush_stats() call folds them.
   sim::State3 minimized_state();
+
+  /// Adds the model-side effort accrued since the last fold (by next() or
+  /// this call) to `stats`.
+  void flush_stats(SearchStats& stats);
 
  private:
   bool conflict() const;
@@ -77,8 +82,6 @@ class FrameGoalSearch {
   bool pick_objective(Objective& obj) const;
   Step advance(const util::Deadline& deadline, long max_backtracks,
                SearchStats& stats);
-  /// Adds the model-side effort accrued since the last flush to `stats`.
-  void flush_stats(SearchStats& stats);
 
   FrameModelHandle model_h_;
   FrameModel& model_;

@@ -1,10 +1,10 @@
 // PODEM-style decision machinery over a FrameModel.
 //
 // Decisions are made only on assignable variables (frame PIs and the frame-0
-// pseudo state), values are derived by forward implication
-// (FrameModel::simulate), and conflicts are resolved by chronological
-// backtracking: flip the most recent unflipped decision, or pop it if both
-// values failed.  The same machinery drives the forward
+// pseudo state), values are derived by the model's event-driven forward
+// implication, and conflicts are resolved by chronological backtracking:
+// flip the most recent unflipped decision, or pop it if both values failed
+// (the model's trail restores the pre-decision state).  The same machinery drives the forward
 // excitation/propagation engine and the per-frame goal searches of the
 // deterministic justifier; each supplies its own objective selection and
 // conflict predicate.
@@ -46,7 +46,7 @@ struct SearchStats {
   long decisions = 0;
   long backtracks = 0;
   long gate_evals = 0;  // implication effort: gate evaluations (both planes)
-  long events = 0;      // event-queue pops (incremental implication only)
+  long events = 0;      // event-queue pops
   bool clipped = false;  // some limit clipped the search (no proofs possible)
 };
 
@@ -74,13 +74,12 @@ class DecisionStack {
     InputAssignment assignment;
     bool flipped = false;
     unsigned frames_at_push = 1;
-    /// Trail mark taken just before the decision was applied (incremental
-    /// models): undoing to it restores the exact pre-decision state.
+    /// Trail mark taken just before the decision was applied: undoing to it
+    /// restores the exact pre-decision state.
     std::size_t mark = 0;
   };
 
   void apply(const InputAssignment& a);
-  void undo(const InputAssignment& a);
 
   FrameModel& model_;
   std::vector<Entry> stack_;

@@ -41,8 +41,8 @@ struct SessionResult {
   std::vector<PassOutcome> passes;
   sim::Sequence test_set;
   /// The test set as the list of generated subsequences (one per committed
-  /// target/round/block), preserving the boundaries fault::compact_segments
-  /// needs.  Concatenating them in order reproduces test_set exactly.
+  /// target/round/block), preserving the commit boundaries.  Concatenating
+  /// them in order reproduces test_set exactly.
   std::vector<sim::Sequence> segments;
   std::size_t total_faults = 0;
   std::vector<FaultStatus> fault_state;

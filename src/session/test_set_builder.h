@@ -3,7 +3,7 @@
 // Engines commit whole candidate sequences (one justification+propagation
 // chain, one evolved GA sequence, one random block); the builder keeps both
 // the flat concatenated test set — what gets graded and shipped — and the
-// per-commit segment boundaries that fault::compact_segments needs.  The
+// per-commit segment boundaries (layer replay and snapshots keep them).  The
 // flat set is always the in-order concatenation of the segments (tested
 // invariant), so the three divergent test_set/segments copies the engines
 // used to keep collapse into this one structure.

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "atpg/justify.h"
+#include "gen/registry.h"
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
 #include "helpers/reference_sim.h"
@@ -142,6 +147,82 @@ TEST(DeterministicJustifier, CyclePruningTerminates) {
   DeterministicJustifier j(c, limits());
   const auto out = j.justify({V3::k1}, util::Deadline::unlimited());
   EXPECT_EQ(out.status, DeterministicJustifier::Status::kUnjustifiable);
+}
+
+/// Re-runs DeterministicJustifier's recursion (no StateStore) with one
+/// standalone FrameGoalSearch per level and totals the effort of every
+/// model it used, read off the models rather than through the searches'
+/// stats folding.  Returns whether `target` was justified.
+bool replay_justify(const netlist::Circuit& c, const State3& target,
+                    const SearchLimits& lim, unsigned depth,
+                    std::vector<State3>& path, SearchStats& search_stats,
+                    FrameModelStats& model_total) {
+  if (std::all_of(target.begin(), target.end(),
+                  [](V3 v) { return v == V3::kX; })) {
+    return true;
+  }
+  if (std::find(path.begin(), path.end(), target) != path.end()) return false;
+  if (depth == 0) return false;
+  std::vector<Objective> goals;
+  for (std::size_t i = 0; i < target.size(); ++i) {
+    if (target[i] != V3::kX) {
+      goals.push_back({0, c.fanins(c.flip_flops()[i])[0], target[i]});
+    }
+  }
+  FrameGoalSearch search(c, std::move(goals));
+  bool justified = false;
+  while (search.next(util::Deadline::unlimited(), lim.max_backtracks,
+                     search_stats) == FrameGoalSearch::Step::kSolution) {
+    const State3 previous = search.minimized_state();
+    path.push_back(target);
+    justified = replay_justify(c, previous, lim, depth - 1, path,
+                               search_stats, model_total);
+    path.pop_back();
+    if (justified) break;
+  }
+  model_total.gate_evals += search.model().stats().gate_evals;
+  model_total.events += search.model().stats().events;
+  return justified;
+}
+
+TEST(DeterministicJustifier, StatsCountEveryModelEvaluation) {
+  // Includes the minimization probes of each level's final solution, which
+  // no later next() call folds.
+  SearchLimits lim = limits();
+  lim.max_backtracks = 200;
+  lim.max_justify_depth = 6;
+  std::size_t justified = 0;
+  for (const std::string& name : {std::string("s27"), std::string("g298")}) {
+    const auto c = gen::make_circuit(name);
+    const std::size_t nff = c.flip_flops().size();
+    util::Rng rng(41);
+    for (int trial = 0; trial < 12; ++trial) {
+      State3 target(nff, V3::kX);
+      for (std::size_t i = 0; i < nff; ++i) {
+        if (rng.below(2) == 0) target[i] = rng.bit() ? V3::k1 : V3::k0;
+      }
+      DeterministicJustifier j(c, lim);
+      const auto out = j.justify(target, util::Deadline::unlimited());
+      std::vector<State3> path;
+      SearchStats search_stats;
+      FrameModelStats model_total;
+      const bool replayed =
+          replay_justify(c, target, lim, lim.max_justify_depth, path,
+                         search_stats, model_total);
+      ASSERT_EQ(replayed,
+                out.status == DeterministicJustifier::Status::kJustified)
+          << c.name() << " trial " << trial;
+      if (replayed) ++justified;
+      EXPECT_EQ(j.stats().gate_evals,
+                static_cast<long>(model_total.gate_evals))
+          << c.name() << " trial " << trial;
+      EXPECT_EQ(j.stats().events, static_cast<long>(model_total.events))
+          << c.name() << " trial " << trial;
+      EXPECT_EQ(j.stats().backtracks, search_stats.backtracks)
+          << c.name() << " trial " << trial;
+    }
+  }
+  EXPECT_GT(justified, 0u);
 }
 
 // Property: every state actually reached by random simulation must be

@@ -2,12 +2,36 @@
 
 #include "atpg/podem.h"
 #include "gen/s27.h"
+#include "helpers/reference_frame_model.h"
 #include "netlist/builder.h"
 
 namespace gatpg::atpg {
 namespace {
 
 using sim::V3;
+
+/// The model's values must be exactly what the oracle computes from the
+/// model's current assignments and window: decisions and backtracks leave
+/// no stale implication behind.
+void expect_values_follow_assignments(const netlist::Circuit& c,
+                                      const FrameModel& m) {
+  test::ReferenceFrameModel ref(c, std::nullopt, m.max_frames());
+  ref.set_frame_count(m.frame_count());
+  for (unsigned t = 0; t < m.max_frames(); ++t) {
+    for (std::size_t i = 0; i < c.primary_inputs().size(); ++i) {
+      ref.assign_pi(t, i, m.pi_value(t, i));
+    }
+  }
+  for (std::size_t i = 0; i < c.flip_flops().size(); ++i) {
+    ref.assign_state(i, m.state_value(i));
+  }
+  for (unsigned t = 0; t < m.frame_count(); ++t) {
+    for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+      ASSERT_EQ(m.good(t, n), ref.good(t, n))
+          << "frame " << t << " " << c.name(n);
+    }
+  }
+}
 
 TEST(Backtrace, ReachesPiThroughInverter) {
   // y = NOT(a): objective y=1 must land on a=0.
@@ -48,7 +72,6 @@ TEST(Backtrace, FollowsXPathPastAssignedInputs) {
   const auto c = std::move(b).build("and2b");
   FrameModel m(c, std::nullopt, 1);
   m.assign_pi(0, 0, V3::k1);
-  m.simulate();
   const auto r = backtrace(m, {0, y, V3::k1});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->index, 1u);
@@ -112,7 +135,6 @@ TEST(Backtrace, XorTargetsParityConsistentValue) {
   const auto c = std::move(b).build("xor2");
   FrameModel m(c, std::nullopt, 1);
   m.assign_pi(0, 0, V3::k1);
-  m.simulate();
   const auto r = backtrace(m, {0, y, V3::k1});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->index, 1u);
@@ -127,6 +149,7 @@ TEST(DecisionStack, PushAssignsAndImplies) {
   EXPECT_EQ(m.good(0, c.find("G0")), V3::k0);
   EXPECT_EQ(m.good(0, c.find("G14")), V3::k1);  // implied through NOT
   EXPECT_EQ(stack.depth(), 1u);
+  expect_values_follow_assignments(c, m);
 }
 
 TEST(DecisionStack, BacktrackFlipsThenPops) {
@@ -141,15 +164,18 @@ TEST(DecisionStack, BacktrackFlipsThenPops) {
   EXPECT_EQ(m.pi_value(0, 1), V3::k0);
   EXPECT_EQ(stack.depth(), 2u);
   EXPECT_EQ(stats.backtracks, 1);
+  expect_values_follow_assignments(c, m);
   // Second: newest is exhausted, pops it, flips the older one.
   EXPECT_TRUE(stack.backtrack(stats));
   EXPECT_EQ(m.pi_value(0, 1), V3::kX);
   EXPECT_EQ(m.pi_value(0, 0), V3::k1);
   EXPECT_EQ(stack.depth(), 1u);
+  expect_values_follow_assignments(c, m);
   // Third: everything exhausted.
   EXPECT_FALSE(stack.backtrack(stats));
   EXPECT_TRUE(stack.empty());
   EXPECT_EQ(m.pi_value(0, 0), V3::kX);
+  expect_values_follow_assignments(c, m);
 }
 
 TEST(DecisionStack, BacktrackRestoresFrameWindow) {
@@ -163,6 +189,9 @@ TEST(DecisionStack, BacktrackRestoresFrameWindow) {
   EXPECT_EQ(m.frame_count(), 3u);
   stack.backtrack(stats);  // flip the decision -> frames roll back
   EXPECT_EQ(m.frame_count(), 1u);
+  expect_values_follow_assignments(c, m);
+  m.extend();  // the re-activated frame follows the flipped decision
+  expect_values_follow_assignments(c, m);
 }
 
 TEST(DecisionStack, UnwindAllClearsEverything) {
@@ -175,6 +204,7 @@ TEST(DecisionStack, UnwindAllClearsEverything) {
   EXPECT_TRUE(stack.empty());
   EXPECT_EQ(m.pi_value(0, 2), V3::kX);
   EXPECT_EQ(m.state_value(1), V3::kX);
+  expect_values_follow_assignments(c, m);
 }
 
 }  // namespace

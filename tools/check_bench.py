@@ -24,11 +24,12 @@ gates never downgrade — determinism must hold at any core count.
 
 Supported benches:
 
-  detengine   BENCH_detengine.json — deterministic-engine search counters,
-              FrameModel pool-reuse regression guard, flat-layout speedup
-              floor (overall_flat_speedup >= 1.15), speculative-targeting
-              serial-vs-lanes identity gate plus speedup floor
-              (target_speedup >= 1.5 at --threads lanes, thread-scaling).
+  detengine   BENCH_detengine.json — deterministic-engine search counters
+              (exact-matched), FrameModel pool-reuse regression guard,
+              speculative-targeting serial-vs-lanes identity gate plus
+              speedup floor (target_speedup >= 1.5 at --threads lanes,
+              thread-scaling).  The FrameModel's correctness is checked by
+              the reference-frame-model oracle suites in ctest, not here.
   faultsim    BENCH_faultsim.json — fault-simulator gate-eval/grouping
               counters per thread-count row, exact-matched; the bench's
               own gates (identical results at 1 and 4 threads, session
@@ -43,12 +44,9 @@ Supported benches:
 
 Usage:
   check_bench.py --bench detengine --fresh build/BENCH_detengine.json \
-      --snapshot BENCH_detengine.json [--min-ratio 1.15]
+      --snapshot BENCH_detengine.json
   check_bench.py --bench faultsim --fresh build/BENCH_faultsim.json \
       --snapshot BENCH_faultsim.json
-
---min-ratio overrides the floor of the bench's first (primary) ratio, for
-benches that have one.
 """
 
 import argparse
@@ -115,21 +113,15 @@ BENCH_SPECS = {
         "args": ("max_faults", "backtracks", "solutions", "repeat",
                  "threads"),
         "invariants": {
-            "identical_across_modes":
-                "a mode/layout changed the search result",
-            "counters_unchanged":
-                "the flat layout's gate_evals/events diverged from the "
-                "legacy layout",
             "targeting_identical":
                 "the speculative lane run diverged from the serial run",
         },
-        # One result row per engine mode within a circuit.
+        # One result row per circuit, keyed by its engine label.
         "row_key": lambda r: r["engine"],
         "counters": ("decisions", "backtracks", "gate_evals", "events",
                      "solved", "untestable"),
         "row_guards": {"incremental-flat-pooled": detengine_pool_guard},
         "ratios": (
-            {"key": "overall_flat_speedup", "floor": 1.15},
             {"key": "target_speedup", "floor": 1.5, "needs_threads": True},
         ),
         "extra": detengine_targeting,
@@ -183,7 +175,7 @@ def load(path):
         return json.load(f)
 
 
-def check(spec, fresh, snap, primary_floor):
+def check(spec, fresh, snap):
     errors = []
     warnings = []
 
@@ -237,9 +229,8 @@ def check(spec, fresh, snap, primary_floor):
             f"are not meaningful on this machine")
 
     ratios = []
-    for i, gate in enumerate(spec["ratios"]):
-        floor = primary_floor if i == 0 and primary_floor is not None \
-            else gate["floor"]
+    for gate in spec["ratios"]:
+        floor = gate["floor"]
         ratio = fresh.get(gate["key"], 0.0)
         ratios.append((gate["key"], ratio, floor))
         if ratio >= floor:
@@ -264,14 +255,11 @@ def main():
                     help="bench JSON from this run")
     ap.add_argument("--snapshot", required=True,
                     help="committed reference bench JSON")
-    ap.add_argument("--min-ratio", type=float, default=None,
-                    help="floor for the bench's primary wall-clock ratio "
-                         "(default: per-bench)")
     args = ap.parse_args()
 
     spec = BENCH_SPECS[args.bench]
     errors, warnings, ratios = check(
-        spec, load(args.fresh), load(args.snapshot), args.min_ratio)
+        spec, load(args.fresh), load(args.snapshot))
 
     for w in warnings:
         print(f"WARN: {w}", file=sys.stderr)
