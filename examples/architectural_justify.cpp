@@ -65,12 +65,11 @@ int main() {
     if (s.scalar_value(start) == V3::k1) {
       unsigned a = 0, b = 0;
       for (unsigned bit = 0; bit < 4; ++bit) {
-        if (s.scalar_value(circuit.find("a" + std::to_string(bit))) ==
-            V3::k1) {
+        const std::string index = std::to_string(bit);
+        if (s.scalar_value(circuit.find("a" + index)) == V3::k1) {
           a |= 1u << bit;
         }
-        if (s.scalar_value(circuit.find("b" + std::to_string(bit))) ==
-            V3::k1) {
+        if (s.scalar_value(circuit.find("b" + index)) == V3::k1) {
           b |= 1u << bit;
         }
       }
@@ -87,8 +86,8 @@ int main() {
   check.apply_vector(result.sequence.back());
   unsigned product = 0;
   for (unsigned bit = 0; bit < 8; ++bit) {
-    if (check.scalar_value(circuit.find("p" + std::to_string(bit))) ==
-        V3::k1) {
+    const std::string index = std::to_string(bit);
+    if (check.scalar_value(circuit.find("p" + index)) == V3::k1) {
       product |= 1u << bit;
     }
   }

@@ -4,11 +4,19 @@
 //
 //   ./grade_testset [circuit-name] [random-multiplier]
 //
+// The multiplier (default 4) must be a positive integer; a bad multiplier
+// exits 2 and an unknown circuit exits 1, each with a message.
+//
 // Also demonstrates incremental grading: the fault simulator carries its
 // state across run() calls, so coverage can be tracked vector-block by
 // vector-block (useful for test-set truncation studies).
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
@@ -16,12 +24,47 @@
 #include "hybrid/hybrid_atpg.h"
 #include "util/rng.h"
 
+namespace {
+
+/// `text` as a positive int, or nullopt when any part of it is not one
+/// (empty, trailing junk, zero, negative, out of range).
+std::optional<int> parse_multiplier(std::string_view text) {
+  int value = 0;
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (first == last || ec != std::errc() || end != last || value < 1) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace gatpg;
   const std::string name = argc > 1 ? argv[1] : "g298";
-  const int multiplier = argc > 2 ? std::atoi(argv[2]) : 4;
+  int multiplier = 4;
+  if (argc > 2) {
+    const auto parsed = parse_multiplier(argv[2]);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "grade_testset: invalid random multiplier '%s' (expected "
+                   "a positive integer)\n",
+                   argv[2]);
+      return 2;
+    }
+    multiplier = *parsed;
+  }
 
-  const auto circuit = gen::make_circuit(name);
+  const auto circuit = [&] {
+    try {
+      return gen::make_circuit(name);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "grade_testset: %s\n", e.what());
+      std::exit(1);
+    }
+  }();
   const auto faults = fault::collapse(circuit).faults;
   std::printf("%s: %zu collapsed faults\n", circuit.name().c_str(),
               faults.size());

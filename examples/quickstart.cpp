@@ -6,6 +6,8 @@
 // Demonstrates the core public API: the circuit registry, HybridAtpg with
 // the paper's pass schedule, and independent coverage grading.
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "fault/grading.h"
@@ -17,7 +19,14 @@ int main(int argc, char** argv) {
   using namespace gatpg;
 
   const std::string name = argc > 1 ? argv[1] : "s27";
-  const netlist::Circuit circuit = gen::make_circuit(name);
+  const netlist::Circuit circuit = [&] {
+    try {
+      return gen::make_circuit(name);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "quickstart: %s\n", e.what());
+      std::exit(1);
+    }
+  }();
   const auto stats = netlist::stats_of(circuit);
   std::printf("circuit %s: %zu PIs, %zu POs, %zu FFs, %zu gates, depth %u\n",
               circuit.name().c_str(), stats.inputs, stats.outputs,

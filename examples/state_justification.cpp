@@ -32,7 +32,8 @@ int main() {
   set_ff("sp1", true);
   set_ff("sp2", false);
   for (unsigned bit = 0; bit < 12; ++bit) {
-    set_ff("r" + std::to_string(bit), (0x005u >> bit) & 1);
+    const std::string index = std::to_string(bit);
+    set_ff("r" + index, (0x005u >> bit) & 1);
   }
 
   // 1. Genetic justification (pass-2 settings: pop 128, 8 generations).

@@ -1,7 +1,6 @@
 #include "fault/faultsim.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace gatpg::fault {
 
@@ -10,7 +9,6 @@ using sim::PackedV3;
 using sim::Sequence;
 using sim::State3;
 using sim::V3;
-using sim::WideMask;
 
 namespace {
 
@@ -26,46 +24,6 @@ std::uint64_t differing_slots(PackedV3 a, V3 good) {
       return ~a.v0;
     default:
       return a.v1 | a.v0;
-  }
-}
-
-/// Per-word variant of differing_slots over one word of a plane-row pair.
-std::uint64_t differing_word(std::uint64_t r1, std::uint64_t r0, V3 good) {
-  switch (good) {
-    case V3::k1:
-      return ~r1;
-    case V3::k0:
-      return ~r0;
-    default:
-      return r1 | r0;
-  }
-}
-
-void set_row_slot(std::uint64_t* r1, std::uint64_t* r0, unsigned slot, V3 v) {
-  const std::uint64_t m = 1ULL << (slot & 63);
-  r1[slot >> 6] &= ~m;
-  r0[slot >> 6] &= ~m;
-  if (v == V3::k1) {
-    r1[slot >> 6] |= m;
-  } else if (v == V3::k0) {
-    r0[slot >> 6] |= m;
-  }
-}
-
-V3 get_row_slot(const std::uint64_t* r1, const std::uint64_t* r0,
-                unsigned slot) {
-  const std::uint64_t m = 1ULL << (slot & 63);
-  if (r1[slot >> 6] & m) return V3::k1;
-  if (r0[slot >> 6] & m) return V3::k0;
-  return V3::kX;
-}
-
-void broadcast_rows(std::uint64_t* r1, std::uint64_t* r0, unsigned nw, V3 v) {
-  const std::uint64_t b1 = v == V3::k1 ? ~0ULL : 0;
-  const std::uint64_t b0 = v == V3::k0 ? ~0ULL : 0;
-  for (unsigned w = 0; w < nw; ++w) {
-    r1[w] = b1;
-    r0[w] = b0;
   }
 }
 
@@ -95,10 +53,6 @@ FaultSimulator::FaultSimulator(const netlist::Circuit& c,
       faulty_state_(faults_.size(),
                     State3(c.flip_flops().size(), V3::kX)),
       launch_prev_(faults_.size(), V3::kX) {
-  if (config_.width < 1) config_.width = 1;
-  if (config_.width > sim::kMaxWideWords) {
-    throw std::invalid_argument("FaultSimConfig: width exceeds kMaxWideWords");
-  }
   for (const Fault& f : faults_) {
     if (f.is_transition()) {
       any_transition_ = true;
@@ -133,10 +87,6 @@ void FaultSimulator::drain_lane_stats(unsigned lanes) const {
     if (lane.machine) {
       stats_.gate_evals += lane.machine->gate_evals();
       lane.machine->reset_gate_evals();
-    }
-    if (lane.wide) {
-      stats_.gate_evals += lane.wide->gate_evals();
-      lane.wide->reset_gate_evals();
     }
   }
 }
@@ -198,8 +148,6 @@ void FaultSimulator::simulate_differential(
   // order.  Built once up front; at every window boundary it is compacted in
   // place with the liveness the surviving-slot write-back just produced —
   // one pass over the survivors instead of a rescan of the full fault list.
-  const unsigned nw = config_.width;
-  const std::size_t group_slots = std::size_t{64} * nw;
   std::vector<std::size_t> order;
   order.reserve(fault_indices.size());
   for (std::size_t i = 0; i < fault_indices.size(); ++i) {
@@ -231,200 +179,19 @@ void FaultSimulator::simulate_differential(
 
     // Dynamic repack: the maintained `order` packing is already dense and in
     // stable fault-index order (deterministic and thread-count-independent
-    // by construction); groups are carved from it 64·width at a time.
+    // by construction); groups are carved from it 64 at a time.
     if (order.empty()) continue;  // keep advancing the good machine
     if (t0 > 0 && order.size() < prev_live) {
-      stats_.groups_repacked += (order.size() + group_slots - 1) / group_slots;
+      stats_.groups_repacked += (order.size() + 63) / 64;
     }
     prev_live = order.size();
 
-    const std::size_t n_groups =
-        (order.size() + group_slots - 1) / group_slots;
+    const std::size_t n_groups = (order.size() + 63) / 64;
     std::vector<std::vector<Detection>> group_dets(n_groups);
     const unsigned lanes =
-        util::max_lanes(config_.parallel, order.size(), group_slots);
+        util::max_lanes(config_.parallel, order.size(), 64);
     ensure_lanes(lanes);
 
-    if (nw > 1) {
-      // SIMD-wide sweep: 64·width faults per group on the SoA WideSimulator.
-      util::parallel_for_chunks(
-          config_.parallel, order.size(), group_slots,
-          [&](std::size_t g, std::size_t begin, std::size_t end,
-              unsigned lane) {
-            Lane& scratch = lanes_[lane];
-            if (!scratch.wide || scratch.wide->words() != nw) {
-              scratch.wide = std::make_unique<sim::WideSimulator>(c_, nw);
-            }
-            sim::WideSimulator& machine = *scratch.wide;
-            const std::size_t count = end - begin;
-
-            machine.clear_overrides();
-            for (std::size_t s = 0; s < count; ++s) {
-              const Fault& f = faults_[fault_indices[order[begin + s]]];
-              WideMask mask;
-              mask.set(static_cast<unsigned>(s));
-              if (f.pin == kOutputPin) {
-                machine.add_output_override(f.node, f.stuck_at, mask);
-              } else {
-                machine.add_input_override(
-                    f.node, static_cast<unsigned>(f.pin), f.stuck_at, mask);
-              }
-            }
-
-            // Packed faulty present-state rows (flip-flop-major); unused
-            // high slots track the good state so they never disturb the
-            // event propagation.
-            scratch.wff1.assign(nff * nw, 0);
-            scratch.wff0.assign(nff * nw, 0);
-            for (std::size_t ff = 0; ff < nff; ++ff) {
-              std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-              std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-              broadcast_rows(r1, r0, nw, good_present[0][ff]);
-              for (std::size_t s = 0; s < count; ++s) {
-                set_row_slot(r1, r0, static_cast<unsigned>(s),
-                             states[order[begin + s]][ff]);
-              }
-            }
-
-            // Transition launch anchors, one per slot: the good value of the
-            // slot's launch line in the frame before the current one (window
-            // entry: the caller-carried value).
-            bool group_trans = false;
-            if (any_transition_) {
-              for (std::size_t s = 0; s < count; ++s) {
-                if (sites[order[begin + s]].transition) {
-                  group_trans = true;
-                  break;
-                }
-              }
-            }
-            std::vector<V3> lprev;
-            WideMask full_act;
-            if (group_trans) {
-              lprev.resize(count);
-              for (std::size_t s = 0; s < count; ++s) {
-                lprev[s] = launch[order[begin + s]];
-              }
-              full_act =
-                  WideMask::ones(nw, static_cast<std::size_t>(nw) * 64);
-            }
-
-            WideMask live_mask = WideMask::ones(nw, count);
-            for (std::size_t k = 0; k < wlen && live_mask.any(); ++k) {
-              ++scratch.stats.group_vectors;
-
-              // Per-frame override activity: a transition slot forces only
-              // when its launch line held the initial value in the previous
-              // frame (act), and its flip-flop latch forcing only when it
-              // holds it in this frame (act_next — the latch lands in the
-              // next frame).  Stuck-at slots stay unconditionally active.
-              WideMask act;
-              WideMask act_next;
-              if (group_trans) {
-                act = full_act;
-                act_next = full_act;
-                for (std::size_t s = 0; s < count; ++s) {
-                  const Site& site = sites[order[begin + s]];
-                  if (!site.transition) continue;
-                  if (lprev[s] != site.stuck) {
-                    act.clear(static_cast<unsigned>(s));
-                  }
-                  const V3 nl = good_frames[k][site.line].get(0);
-                  if (nl != site.stuck) {
-                    act_next.clear(static_cast<unsigned>(s));
-                  }
-                  lprev[s] = nl;
-                }
-              }
-
-              // Excitation/activity screen, word-parallel over the state.
-              WideMask active;
-              for (std::size_t s = 0; s < count; ++s) {
-                const Site& site = sites[order[begin + s]];
-                bool ex = good_frames[k][site.line].get(0) != site.stuck;
-                if (!ex && site.extra != netlist::kNoNode) {
-                  ex = good_frames[k][site.extra].get(0) != site.stuck;
-                }
-                if (ex) active.set(static_cast<unsigned>(s));
-              }
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                const std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-                const std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-                const V3 gv = good_present[k][ff];
-                for (unsigned w = 0; w < nw; ++w) {
-                  active.w[w] |= differing_word(r1[w], r0[w], gv);
-                }
-              }
-              active &= live_mask;
-              if (!active.any()) {
-                ++scratch.stats.group_vectors_skipped;
-                for (std::size_t ff = 0; ff < nff; ++ff) {
-                  broadcast_rows(scratch.wff1.data() + ff * nw,
-                                 scratch.wff0.data() + ff * nw, nw,
-                                 good_next[k][ff]);
-                }
-                continue;
-              }
-
-              if (group_trans) {
-                machine.set_override_activity(act);
-                machine.set_latch_override_activity(act_next);
-              }
-              machine.apply_differential(good_frames[k], scratch.wff1,
-                                         scratch.wff0);
-
-              WideMask hit;
-              for (const auto& [p, gv] : good_po[k]) {
-                const std::uint64_t* row =
-                    gv == V3::k1 ? machine.row0(p) : machine.row1(p);
-                for (unsigned w = 0; w < nw; ++w) hit.w[w] |= row[w];
-              }
-              hit &= live_mask;
-              const bool retired = hit.any();
-              for (unsigned w = 0; w < nw; ++w) {
-                std::uint64_t h = hit.w[w];
-                while (h) {
-                  const unsigned s =
-                      w * 64 + static_cast<unsigned>(__builtin_ctzll(h));
-                  h &= h - 1;
-                  live_mask.clear(s);
-                  group_dets[g].push_back(
-                      {static_cast<std::uint32_t>(order[begin + s]),
-                       static_cast<std::uint32_t>(t0 + k)});
-                }
-              }
-              if (retired) machine.retain_override_slots(live_mask);
-
-              std::uint64_t nx1[sim::kMaxWideWords];
-              std::uint64_t nx0[sim::kMaxWideWords];
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                machine.next_state_rows(ff, nx1, nx0);
-                const V3 gn = good_next[k][ff];
-                const std::uint64_t b1 = gn == V3::k1 ? ~0ULL : 0;
-                const std::uint64_t b0 = gn == V3::k0 ? ~0ULL : 0;
-                std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-                std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-                for (unsigned w = 0; w < nw; ++w) {
-                  r1[w] = (nx1[w] & live_mask.w[w]) | (b1 & ~live_mask.w[w]);
-                  r0[w] = (nx0[w] & live_mask.w[w]) | (b0 & ~live_mask.w[w]);
-                }
-              }
-            }
-
-            for (std::size_t s = 0; s < count; ++s) {
-              const std::size_t p = order[begin + s];
-              if (!live_mask.test(static_cast<unsigned>(s))) {
-                live[p] = 0;
-                continue;
-              }
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                states[p][ff] = get_row_slot(scratch.wff1.data() + ff * nw,
-                                             scratch.wff0.data() + ff * nw,
-                                             static_cast<unsigned>(s));
-              }
-            }
-          });
-    } else {
     util::parallel_for_chunks(
         config_.parallel, order.size(), 64,
         [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
@@ -579,7 +346,6 @@ void FaultSimulator::simulate_differential(
             }
           }
         });
-    }
 
     drain_lane_stats(lanes);
     for (std::size_t g = 0; g < n_groups; ++g) {
@@ -631,9 +397,9 @@ std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
   simulate_differential(good_, pending, seq, states, launch, live, dets,
                         good_sink_);
 
-  // The documented detection order, independent of window, width, and
-  // repacking: pending position / 64 first, then detection frame, then
-  // pending position.
+  // The documented detection order, independent of window and repacking:
+  // pending position / 64 first, then detection frame, then pending
+  // position.
   std::sort(dets.begin(), dets.end(),
             [](const Detection& a, const Detection& b) {
               if ((a.pos >> 6) != (b.pos >> 6)) {

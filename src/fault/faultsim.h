@@ -25,8 +25,8 @@
 // faults sorted by (pending position / 64, frame, pending position), where
 // the pending position is a fault's index among the faults still undetected
 // when run() was called.  The order, the detected sets, the persisted faulty
-// states, and the what-if counts are identical for every window, group
-// width, and thread count.  tests/helpers/reference_sim.h holds the
+// states, and the what-if counts are identical for every window and thread
+// count.  tests/helpers/reference_sim.h holds the
 // independent scalar oracle (reference_session / reference_what_if) the
 // engine is checked against.
 //
@@ -43,7 +43,6 @@
 
 #include "fault/fault.h"
 #include "sim/seqsim.h"
-#include "sim/widesim.h"
 #include "util/parallel.h"
 
 namespace gatpg::fault {
@@ -57,15 +56,6 @@ struct FaultSimConfig {
   /// out of the dense 64-slot groups at every boundary.  Also bounds the
   /// good-frame recording memory (window × nodes × 16 bytes).
   unsigned window = 32;
-  /// Group width in 64-bit machine words: each fault group packs 64·width
-  /// faults into one simulation machine.  1 (the default) runs the groups
-  /// on the SequenceSimulator; 2..sim::kMaxWideWords run them on the
-  /// SIMD-wide WideSimulator with the structure-of-arrays layout.
-  /// Detections (sets *and* order), persisted flip-flop state, and what-if
-  /// results are bit-identical at every width and thread count; only the
-  /// cost counters that depend on grouping (gate_evals, group_vectors,
-  /// skips) differ.
-  unsigned width = 1;
 };
 
 /// Cost and effectiveness counters, accumulated across run()/what_if()
@@ -207,14 +197,10 @@ class FaultSimulator {
   };
 
   /// Per-lane scratch: the group machine plus packed state and counters,
-  /// owned exclusively by one lane of the worker pool during a sweep.  The
-  /// wide machine and its flip-flop plane rows exist only at width > 1.
+  /// owned exclusively by one lane of the worker pool during a sweep.
   struct Lane {
     std::unique_ptr<sim::SequenceSimulator> machine;
     std::vector<sim::PackedV3> ff;  ///< per-slot faulty present state
-    std::unique_ptr<sim::WideSimulator> wide;
-    std::vector<std::uint64_t> wff1;  ///< wide present state, plane 1 rows
-    std::vector<std::uint64_t> wff0;  ///< wide present state, plane 0 rows
     SimStats stats;
   };
 

@@ -25,7 +25,8 @@ netlist::Circuit make_am2910(std::string name) {
   const Bus sp = d.register_bus("sp", 3);
   std::vector<Bus> stack(kStackDepth);
   for (unsigned k = 0; k < kStackDepth; ++k) {
-    stack[k] = d.register_bus("f" + std::to_string(k) + "_", kWidth);
+    const std::string index = std::to_string(k);
+    stack[k] = d.register_bus("f" + index + "_", kWidth);
   }
 
   const Bus instr = d.decoder("op", i);  // one-hot, 16 terms
@@ -127,10 +128,9 @@ netlist::Circuit make_am2910(std::string name) {
 
   // Stack cell write: on push, stack[sp] <- uPC.
   for (unsigned k = 0; k < kStackDepth; ++k) {
-    const NodeId write =
-        d.and2("fw" + std::to_string(k), push_eff, sp_onehot[k]);
-    const Bus next =
-        d.mux2("f" + std::to_string(k) + "n", write, upc, stack[k]);
+    const std::string index = std::to_string(k);
+    const NodeId write = d.and2("fw" + index, push_eff, sp_onehot[k]);
+    const Bus next = d.mux2("f" + index + "n", write, upc, stack[k]);
     d.connect_register(stack[k], next);
   }
 
@@ -163,7 +163,8 @@ netlist::Circuit make_am2910(std::string name) {
   // ---- Y and uPC -------------------------------------------------------
   Bus y(kWidth);
   for (unsigned bit = 0; bit < kWidth; ++bit) {
-    const std::string n = "y" + std::to_string(bit);
+    const std::string index = std::to_string(bit);
+    const std::string n = "y" + index;
     Bus terms{
         d.and2(n + "_d", data[bit], sel_d),
         d.and2(n + "_r", r[bit], sel_r),

@@ -32,8 +32,8 @@ netlist::Circuit make_analog(const AnalogSpec& spec) {
     fs.seed = rng.word();
     std::vector<NodeId> ins(fs.num_inputs);
     for (auto& in : ins) in = pick();
-    const auto outs = emit_moore_fsm(b, "m" + std::to_string(block) + "_",
-                                     fs, ins, reset);
+    const std::string index = std::to_string(block);
+    const auto outs = emit_moore_fsm(b, "m" + index + "_", fs, ins, reset);
     pool.insert(pool.end(), outs.begin(), outs.end());
     ++block;
   }
@@ -42,7 +42,8 @@ netlist::Circuit make_analog(const AnalogSpec& spec) {
   const NodeId nreset = d.inv("nrst_c", reset);
   unsigned ci = 0;
   for (unsigned width : spec.counters) {
-    const std::string p = "c" + std::to_string(ci++) + "_";
+    const std::string index = std::to_string(ci++);
+    const std::string p = "c" + index + "_";
     const Bus cnt = d.register_bus(p, width);
     const NodeId en = pick();
     const auto inc = d.incrementer(p + "inc", cnt, d.const1(p + "one"));
@@ -56,7 +57,8 @@ netlist::Circuit make_analog(const AnalogSpec& spec) {
   // naturally, like the scan-path-free pipelines in the s6xx circuits).
   unsigned si = 0;
   for (unsigned width : spec.shifts) {
-    const std::string p = "s" + std::to_string(si++) + "_";
+    const std::string index = std::to_string(si++);
+    const std::string p = "s" + index + "_";
     const Bus sh = d.register_bus(p, width);
     b.set_dff_input(sh[0], pick());
     for (unsigned k = 1; k < width; ++k) b.set_dff_input(sh[k], sh[k - 1]);
@@ -73,7 +75,8 @@ netlist::Circuit make_analog(const AnalogSpec& spec) {
     const std::size_t arity = 2 + rng.below(2);  // 2 or 3 inputs
     std::vector<NodeId> ins(arity);
     for (auto& in : ins) in = pick();
-    pool.push_back(b.add_gate(t, "g" + std::to_string(g), ins));
+    const std::string index = std::to_string(g);
+    pool.push_back(b.add_gate(t, "g" + index, ins));
   }
 
   // Outputs: XOR-mix of pool signals so deep state is observable.

@@ -109,10 +109,12 @@ netlist::Circuit make_multiplier(unsigned width, std::string name) {
 
   // Outputs: product = {A[width-1:0], Q}, plus done.
   for (unsigned i = 0; i < width; ++i) {
-    b.mark_output(d.buf("p" + std::to_string(i), q[i]));
+    const std::string index = std::to_string(i);
+    b.mark_output(d.buf("p" + index, q[i]));
   }
   for (unsigned i = 0; i < width; ++i) {
-    b.mark_output(d.buf("p" + std::to_string(width + i), acc[i]));
+    const std::string index = std::to_string(width + i);
+    b.mark_output(d.buf("p" + index, acc[i]));
   }
   b.mark_output(d.inv("done", busy));
 

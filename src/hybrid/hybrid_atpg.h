@@ -70,7 +70,7 @@ struct HybridConfig {
   /// justifier's batch evaluation (0 = hardware_concurrency, 1 = serial).
   /// Results are bit-identical for any thread count.
   util::ParallelConfig parallel;
-  /// Fault-simulator options (window, group width).
+  /// Fault-simulator options (window).
   /// The `parallel` member above overrides faultsim.parallel so one knob
   /// sizes every pool.
   fault::FaultSimConfig faultsim;

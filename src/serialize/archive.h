@@ -33,8 +33,9 @@ namespace gatpg::serialize {
 /// short-lived checkpoint artifacts, not a long-term interchange format).
 /// Version history: 1 = original session snapshot; 2 = fault-model axis
 /// (IDNT carries the session's FaultUniverse); 3 = IDNT drops the
-/// fault-sim engine selector (one engine remains; window and width stay).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// fault-sim engine selector (one engine remains; window and width stay);
+/// 4 = IDNT drops the fault-sim group width (one packed simulator remains).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Any structural problem with an archive: bad magic/version/sentinel,
 /// digest mismatch, truncation, section tag/length mismatch, or a

@@ -43,7 +43,7 @@ std::string parse_request(const std::string& request,
     }
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) {
-      (*args)[token] = "1";  // bare flag
+      (*args)[token] = std::string(1, '1');  // bare flag
     } else {
       (*args)[token.substr(0, eq)] = token.substr(eq + 1);
     }

@@ -101,7 +101,7 @@ struct SessionConfig {
   /// caller but still records the universe for snapshot identity (a
   /// snapshot taken under one model never resumes under another).
   fault::FaultUniverse fault_model = fault::FaultUniverse::kStuckAt;
-  /// Fault-simulator options (threads, window, group width).
+  /// Fault-simulator options (threads, window).
   fault::FaultSimConfig faultsim;
   /// State-knowledge layer options (disabled by default; enabling it must
   /// not change which faults are detectable, only how fast they resolve).

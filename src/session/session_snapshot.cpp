@@ -4,7 +4,7 @@
 // Snapshot layout (inside the serialize::Archive payload):
 //
 //   IDNT  circuit name + structural signature, fault-list identity digest,
-//         fault-sim engine shape (window/width), engine name
+//         fault-sim engine shape (window), engine name
 //   FMGR  FaultManager (statuses, aborted flags, counters, pass cursor)
 //   TSET  TestSetBuilder (committed segments; flat set rebuilt on load)
 //   STOR  StateStore (all four caches + stamps + stats, config-checked)
@@ -122,7 +122,6 @@ void Session::checkpoint(const std::string& path) const {
   w.u8(static_cast<std::uint8_t>(config_.fault_model));
   w.u64(fault::identity_digest(faults_.list()));
   w.u32(config_.faultsim.window);
-  w.u32(config_.faultsim.width);
   w.str(running_engine_ ? running_engine_->name() : "");
   w.end_section();
 
@@ -181,7 +180,6 @@ void Session::resume(const std::string& path, Engine& engine) {
   const auto universe = static_cast<fault::FaultUniverse>(r.u8());
   const std::uint64_t fault_identity = r.u64();
   const std::uint32_t window = r.u32();
-  const std::uint32_t width = r.u32();
   const std::string engine_name = r.str();
   r.leave_section();
   if (circuit_name != c_.name() || signature != circuit_signature(c_)) {
@@ -202,9 +200,9 @@ void Session::resume(const std::string& path, Engine& engine) {
   // Thread count is free to change (results are thread-count-independent),
   // but the engine shape must match or the replayed SimStats and grouping
   // counters would diverge from the uninterrupted run.
-  if (window != config_.faultsim.window || width != config_.faultsim.width) {
+  if (window != config_.faultsim.window) {
     throw serialize::SnapshotError(
-        "snapshot fault-sim engine shape (window/width) differs from this "
+        "snapshot fault-sim engine shape (window) differs from this "
         "session's config");
   }
   if (engine_name != engine.name()) {

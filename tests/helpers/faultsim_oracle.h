@@ -22,8 +22,7 @@ inline void expect_session_matches(const netlist::Circuit& c,
                                    const std::vector<ReferenceChunk>& expected,
                                    const fault::FaultSimConfig& config) {
   SCOPED_TRACE("threads " + std::to_string(config.parallel.threads) +
-               " width " + std::to_string(config.width) + " window " +
-               std::to_string(config.window));
+               " window " + std::to_string(config.window));
   ASSERT_EQ(chunks.size(), expected.size());
   fault::FaultSimulator fs(c, faults, config);
   std::size_t detected = 0;

@@ -6,16 +6,21 @@
 // good/faulty machine pair over every vector — exactly: same detections,
 // same detection *order*, same persisted faulty flip-flop states, same
 // good-machine state, same what-if counts — across randomized circuits,
+// every registry circuit, fault counts that leave a partial last group,
 // random (including partially-X) sequences, multi-run sessions, any window
 // size, and any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
+#include "gen/registry.h"
 #include "helpers/faultsim_oracle.h"
 #include "helpers/random_circuit.h"
 #include "helpers/reference_sim.h"
@@ -80,6 +85,43 @@ TEST(FaultSimDiff, ThreadCountIndependent) {
     test::expect_sessions_match_reference(
         c, faults, session_chunks(c, spec.seed + 1),
         {make_config(1), make_config(2), make_config(4)});
+  }
+  // Fault counts that are not multiples of 64: 3 leaves a single partial
+  // group, 70 spills six faults into a second one.
+  const test::RandomCircuitSpec spec{8, 8, 160, 6, 66};
+  const auto c = test::make_random_circuit(spec);
+  const auto all = fault::collapse(c).faults;
+  for (const std::size_t count : {std::size_t{3}, std::size_t{70}}) {
+    ASSERT_GE(all.size(), count);
+    const std::vector<fault::Fault> subset(all.begin(), all.begin() + count);
+    test::expect_sessions_match_reference(
+        c, subset, session_chunks(c, spec.seed + count),
+        {make_config(1), make_config(2), make_config(4)});
+  }
+}
+
+TEST(FaultSimDiff, EveryRegistryCircuit) {
+  // One bounded session per registry circuit: a sampled fault subset
+  // (deliberately not a multiple of 64) over a short mixed-X sequence,
+  // serial and threaded, against the reference session model.
+  for (const std::string& name : gen::registry_names()) {
+    SCOPED_TRACE("circuit " + name);
+    const auto c = gen::make_circuit(name);
+    const auto all = fault::collapse(c).faults;
+    // Sample <= 97 faults, stride-spread across the circuit.
+    const std::size_t target = std::min<std::size_t>(all.size(), 97);
+    const std::size_t stride = all.size() / target ? all.size() / target : 1;
+    std::vector<fault::Fault> faults;
+    for (std::size_t i = 0; i < all.size() && faults.size() < target;
+         i += stride) {
+      faults.push_back(all[i]);
+    }
+    util::Rng rng(std::hash<std::string>{}(name));
+    const std::vector<sim::Sequence> chunks = {
+        test::random_sequence(c, rng, 8, 0.0),
+        test::random_sequence(c, rng, 6, 0.2)};
+    test::expect_sessions_match_reference(c, faults, chunks,
+                                          {make_config(1), make_config(4)});
   }
 }
 

@@ -487,10 +487,10 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
                                 rng);
     EXPECT_THROW(s.resume(snap, engine), serialize::SnapshotError);
   }
-  // Wrong fault-sim group width (the snapshot was taken at width 1).
+  // Wrong fault-sim window (the snapshot was taken at the configured one).
   {
     hybrid::HybridConfig shape = cfg;
-    shape.faultsim.width = 2;
+    shape.faultsim.window = cfg.faultsim.window + 1;
     session::Session s(s27, faults, session_config(shape));
     util::Rng rng(cfg.seed);
     hybrid::HybridEngine engine(s27, shape, netlist::sequential_depth(s27),

@@ -2,9 +2,9 @@
 // circuit, a backtrack-bounded hybrid run over the transition universe must
 // detect faults and be bit-identical — tests, segments, fault statuses,
 // every counter, all three digests, and the per-target observer stream —
-// across fault-sim thread count, targeting lane count, and SIMD group
-// width; its committed segments, replayed through the independent reference
-// session model, must detect exactly the faults it reports.  Also covers
+// across fault-sim thread count and targeting lane count; its committed
+// segments, replayed through the independent reference session model, must
+// detect exactly the faults it reports.  Also covers
 // mid-pass kill-and-resume, the snapshot fault-model identity check,
 // worker-count invariance of sharded transition jobs, and the daemon's
 // fault_model= key.
@@ -205,9 +205,9 @@ TEST(TransitionAtpg, DetectsAndInvariantAcrossExecutionShapes) {
       expect_trace_equal(ref.trace, got.trace);
     }
     {
-      SCOPED_TRACE("simd width 4");
+      SCOPED_TRACE("faultsim threads 2");
       hybrid::HybridConfig cfg = transition_config();
-      cfg.faultsim.width = 4;
+      cfg.parallel.threads = 2;
       const RunOutput got = run_once(c, faults, cfg);
       expect_identical(ref.result, got.result);
       expect_trace_equal(ref.trace, got.trace);
